@@ -1,7 +1,8 @@
-"""Binomial probability-mass vectors, stable for large trial counts.
+"""Binomial probability masses and Bernstein sums, stable for large
+trial counts.
 
-Coefficients never materialize on their own: each mass row is produced
-by the ratio recurrence
+Coefficients never materialize on their own: each mass is produced by
+the ratio recurrence
 
     t_{i+1} = t_i * (m - i) / (i + 1) * x / (1 - x)
 
@@ -10,9 +11,19 @@ start value is then at least 2**-m (well inside float range up to the
 supported m <= 999) and intermediate terms only grow toward the mode, so
 nothing overflows; masses that underflow on the far side are genuinely
 negligible.  Endpoints x == 0 and x == 1 are exact point masses.
+
+Two consumers share the recurrence.  :func:`pmf_matrix` stores every
+mass, an (m+1, len(x)) array, for the rank probabilities and the
+budget.  :func:`bernstein` accumulates sum_i c_i * t_i as the masses go
+by, so a polynomial in Bernstein form is evaluated in O(len(x)) memory
+without ever holding the mass matrix.
 """
 
 import numpy as np
+
+# points per pass of bernstein: its working set (a few vectors of this
+# length per row) stays in cache and its memory stays bounded
+_BLOCK = 4096
 
 
 def pmf_matrix(m: int, x) -> np.ndarray:
@@ -70,3 +81,41 @@ def tail_vector(m: int, x: float) -> np.ndarray:
     """T[k] = P(Binomial(m, x) >= k) for k = 0..m."""
     pmf = pmf_vector(m, x)
     return np.cumsum(pmf[::-1])[::-1]
+
+
+def bernstein(coeffs, x) -> np.ndarray:
+    """Bernstein sums sum_i c_i * C(m, i) * x**i * (1-x)**(m-i).
+
+    ``coeffs`` has shape (m+1,) or (k, m+1), one polynomial per row;
+    ``x`` is a scalar or 1-d array of values in [0, 1].  The result has
+    shape (len(x),) or (k, len(x)).  Equals ``coeffs @ pmf_matrix(m, x)``
+    but walks the masses once per block of points, from the heavier
+    endpoint of each point, so besides the result it holds only
+    O(k * _BLOCK) floats.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    rows = c.reshape(-1, c.shape[-1])
+    k, m = rows.shape[0], rows.shape[1] - 1
+    # points above 1/2 walk down from x**m: in y = 1 - x (exact there)
+    # that is the upward walk with the coefficients reversed, so both
+    # halves share one recurrence and differ only in their rows
+    cols = np.concatenate((rows, rows[:, ::-1])).T[:, :, None]
+    out = np.empty((k, x.size))
+    for start in range(0, x.size, _BLOCK):
+        block = x[start : start + _BLOCK]
+        far = block > 0.5
+        y = np.where(far, 1.0 - block, block)
+        ratio = y / (1.0 - y)
+        t = (1.0 - y) ** m
+        acc = cols[0] * t
+        term = np.empty_like(acc)
+        for i in range(m):
+            t *= ratio
+            t *= (m - i) / (i + 1)
+            np.multiply(cols[i + 1], t, out=term)
+            acc += term
+        sums = out[:, start : start + _BLOCK]
+        sums[...] = acc[:k]
+        np.copyto(sums, acc[k:], where=far)
+    return out.reshape(c.shape[:-1] + x.shape)

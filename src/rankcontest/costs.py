@@ -2,8 +2,8 @@
 
 A cost model maps a quality level q >= 0 to the effort cost c(q) of
 producing a contribution of that quality.  Every family is strictly
-increasing and continuously differentiable, with an exact or bracketed
-inverse.  The value c(0) is the *entry cost*: the cost of the lowest
+increasing and continuously differentiable, with a closed-form inverse.
+The value c(0) is the *entry cost*: the cost of the lowest
 possible quality, which a potential contestant avoids entirely by
 staying out.  Entry is strategically interesting precisely when
 c(0) > 0, so models with c(0) == 0 are accepted here but rejected by
@@ -217,23 +217,11 @@ class QuadraticPlusCost(CostModel):
         return float(out) if _scalar_in(q) else out
 
     def inverse(self, v):
-        v = self._check_cost(v)
-        scalar = _scalar_in(v)
-        targets = np.atleast_1d(v)
-        hi = 1.0
-        top = float(targets.max(initial=self.c0))
-        while self.c0 + self.a * hi + self.b * hi * hi < top:
-            hi *= 2.0
-        lo = np.zeros_like(targets)
-        hi = np.full_like(targets, hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            val = self.c0 + self.a * mid + self.b * mid * mid
-            below = val < targets
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
-        return float(out[0]) if scalar else out
+        # the root of b*q**2 + a*q - d in the form that never subtracts
+        # nearly equal terms, which also covers b == 0
+        d = self._check_cost(v) - self.c0
+        out = 2.0 * d / (self.a + np.sqrt(self.a * self.a + 4.0 * self.b * d))
+        return float(out) if _scalar_in(d) else out
 
     def hazard_class(self) -> str:
         # d/dq [c'/c] has the sign of (2*b*c0 - a^2) - 2*a*b*q - 2*b^2*q^2,

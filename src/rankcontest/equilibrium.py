@@ -30,18 +30,23 @@ Three regimes:
 * ``interior``  a_n < c(0) < a_1: p in (0, 1) solves benefit(p) = c(0).
 * ``full``      a_n >= c(0): p = 1.
 
-The support endpoint solves c(qbar) = a_1 - shift.  Because the benefit
-function is strictly decreasing, every CDF query reduces to bracketed
-bisection with guaranteed convergence; the solver carries no state
-beyond the scalars above, and solutions are immutable and safe to share
-across threads.
+The support endpoint solves c(qbar) = a_1 - shift.  Every query
+inverts or evaluates one Bernstein polynomial: the pressure behind
+``cdf`` and the entry probability solve benefit(x) = target, and the
+quantile evaluates benefit directly.  Sums run through
+:func:`binom.bernstein` in O(points) memory.  Because the benefit
+function is strictly decreasing, each inversion keeps a bracket and runs
+a safeguarded Newton iteration that falls back to bisection, so
+convergence is guaranteed; the solver carries no state beyond the
+scalars above, and solutions are immutable and safe to share across
+threads.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .binom import pmf_matrix
+from .binom import bernstein
 from .costs import CostModel
 from .errors import DomainError, StateError
 from .mechanism import RewardVector
@@ -51,7 +56,15 @@ REGIME_INTERIOR = "interior"
 REGIME_FULL = "full"
 
 _X_SLACK = 1e-12
-_BISECT_ITERS = 64
+_EPS = float(np.finfo(float).eps)
+# Benefit inversion: a step or bracket within _STOP_ULPS ulps of [0, hi]
+# ends the iteration; the starting table has _TABLE_NODES nodes, which
+# leaves about five Newton steps per point at n <= 200; bisection alone
+# would get from one cell to the stopping width in about 46 steps, well
+# inside _NEWTON_CAP.
+_STOP_ULPS = 4.0
+_TABLE_NODES = 17
+_NEWTON_CAP = 100
 
 
 def _as_unit_interval(x, name: str) -> tuple[np.ndarray, bool]:
@@ -70,7 +83,7 @@ def expected_benefit(x, rewards: RewardVector):
     between.  Accepts scalars or arrays.
     """
     arr, scalar = _as_unit_interval(x, "competitor pressure")
-    out = rewards.as_array() @ pmf_matrix(rewards.n - 1, arr)
+    out = bernstein(rewards.as_array(), arr)
     return float(out[0]) if scalar else out
 
 
@@ -82,66 +95,84 @@ def benefit_slope(x, rewards: RewardVector):
     (0, 1) for a monotone schedule with a strict step.
     """
     arr, scalar = _as_unit_interval(x, "competitor pressure")
-    steps = np.diff(rewards.as_array())
-    out = (rewards.n - 1) * (steps @ pmf_matrix(rewards.n - 2, arr))
+    out = (rewards.n - 1) * bernstein(np.diff(rewards.as_array()), arr)
     return float(out[0]) if scalar else out
-
-
-def _benefit_scalar(a: tuple[float, ...], x: float) -> float:
-    # pure-python twin of expected_benefit for the scalar hot path: the
-    # same mass recurrence, without numpy's per-call overhead
-    m = len(a) - 1
-    if x <= 0.0:
-        return a[0]
-    if x >= 1.0:
-        return a[m]
-    acc = 0.0
-    if x <= 0.5:
-        t = (1.0 - x) ** m
-        ratio = x / (1.0 - x)
-        acc = a[0] * t
-        for i in range(m):
-            t = t * ((m - i) / (i + 1)) * ratio
-            acc += a[i + 1] * t
-    else:
-        t = x**m
-        ratio = (1.0 - x) / x
-        acc = a[m] * t
-        for i in range(m, 0, -1):
-            t = t * (i / (m - i + 1)) * ratio
-            acc += a[i - 1] * t
-    return acc
 
 
 def _invert_benefit(targets: np.ndarray, rewards: RewardVector, hi: float) -> np.ndarray:
     """Solve expected_benefit(x) = target on [0, hi] for each target.
 
-    The benefit is strictly decreasing, so plain bisection always
-    converges; targets outside the attainable range clamp to the nearer
-    endpoint.
+    Targets outside the attainable range clamp to the nearer endpoint.
+    Each other target starts in the cell of a coarse table of the
+    benefit that brackets it, at the linear interpolate, and runs a
+    safeguarded Newton iteration inside its own bracket [lo, up] with
+    benefit(lo) > target > benefit(up): a step that would leave the
+    bracket is replaced by bisection.  A point stops once its step or
+    its bracket is a few ulps of [0, hi] wide, or once its residual is
+    down to rounding noise and one last short Newton step refines it;
+    the iteration cap bounds the work either way.
     """
-    if targets.size == 1:
-        a = rewards.prizes
-        target = float(targets[0])
-        lo, high = 0.0, hi
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + high)
-            if _benefit_scalar(a, mid) > target:
-                lo = mid
-            else:
-                high = mid
-        return np.array([0.5 * (lo + high)])
     a = rewards.as_array()
     m = rewards.n - 1
-    lo = np.zeros_like(targets)
-    high = np.full_like(targets, hi)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + high)
-        value = a @ pmf_matrix(m, mid)
-        above = value > targets
-        lo = np.where(above, mid, lo)
-        high = np.where(above, high, mid)
-    return 0.5 * (lo + high)
+    # last de Casteljau step: with S0, S1 the degree m-1 sums of a[:-1]
+    # and a[1:], benefit = (1-x) S0 + x S1 and benefit' = m (S1 - S0),
+    # both from one kernel pass
+    pairs = np.stack((a[:-1], a[1:]))
+    # each kernel mass carries up to about 2m rounding errors and the sum
+    # m more, so a residual below this is noise
+    noise = 4.0 * (m + 1) * _EPS * np.max(np.abs(a))
+    # from a point this close, Newton's quadratic error is of order eps
+    settle = np.sqrt(_EPS) * hi
+    tol = _STOP_ULPS * _EPS * hi
+
+    def newton_step(t, x, lo, up):
+        # updates x, lo and up in place and returns the converged mask;
+        # the temporaries die on return, before the next kernel pass
+        sums = bernstein(pairs, x)
+        slope = sums[1] - sums[0]
+        f = x * slope
+        f += sums[0]
+        f -= t
+        np.copyto(lo, x, where=f > 0.0)
+        np.copyto(up, x, where=f < 0.0)
+        slope *= m
+        step = f / slope
+        guess = x - step
+        inside = (guess > lo) & (guess < up)
+        # a residual at the noise floor ends the iteration unless a flat
+        # benefit (a tie at the top prize) still makes the step long
+        settled = (np.abs(f) <= noise) & (np.abs(step) <= settle)
+        moved = np.where(inside, guess, 0.5 * (lo + up))
+        done = settled | (np.abs(moved - x) <= tol) | (up - lo <= tol)
+        np.copyto(x, moved, where=inside | ~settled)
+        return done
+
+    nodes = np.linspace(0.0, hi, _TABLE_NODES)
+    # the running minimum keeps the table sorted where rounding makes a
+    # flat stretch wiggle, so every cell found below brackets its target
+    table = np.minimum.accumulate(bernstein(a, nodes))
+    out = np.empty_like(targets)
+    out[targets >= table[0]] = 0.0
+    out[targets <= table[-1]] = hi
+    idx = np.flatnonzero((targets < table[0]) & (targets > table[-1]))
+    t = targets[idx]
+    cell = np.searchsorted(-table, -t)
+    lo, up = nodes[cell - 1], nodes[cell]
+    x = lo + (up - lo) * (table[cell - 1] - t) / (table[cell - 1] - table[cell])
+    del cell  # one int per point fewer while the kernel passes run
+    # a zero slope (a flat benefit) makes an infinite or undefined step,
+    # which the bracket test then turns into bisection
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_CAP):
+            if idx.size == 0:
+                break
+            done = newton_step(t, x, lo, up)
+            if done.any():
+                out[idx[done]] = x[done]
+                keep = ~done
+                idx, t, x, lo, up = (v[keep] for v in (idx, t, x, lo, up))
+    out[idx] = x
+    return out
 
 
 def participation_probability(rewards: RewardVector, cost: CostModel) -> float:
@@ -181,10 +212,9 @@ class EquilibriumSolution:
     """Solved equilibrium: (p, G) plus the scalars that pin it down.
 
     ``cdf``/``pressure``/``quantile``/``payoff_residual`` evaluate the
-    equilibrium objects on demand; all accept scalars or arrays.  An
-    optional monotone evaluation grid (``grid_q``, ``grid_cdf``) can be
-    requested at solve time for plotting or tabulation; the analytical
-    queries never interpolate.
+    equilibrium objects on demand; all accept scalars or arrays.
+    ``arg_tol`` is the value the solve was asked for, recorded for run
+    records; it steers no computation.
     """
 
     rewards: RewardVector
@@ -194,8 +224,6 @@ class EquilibriumSolution:
     shift: float
     regime: str
     arg_tol: float = 1e-12
-    grid_q: np.ndarray | None = field(default=None, repr=False)
-    grid_cdf: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -264,20 +292,13 @@ class EquilibriumSolution:
         return float(out[0]) if scalar else out
 
 
-def solve(
-    rewards,
-    cost: CostModel,
-    *,
-    arg_tol: float = 1e-12,
-    grid_nodes: int = 0,
-) -> EquilibriumSolution:
+def solve(rewards, cost: CostModel, *, arg_tol: float = 1e-12) -> EquilibriumSolution:
     """Compute the symmetric mixed-strategy equilibrium.
 
-    ``arg_tol`` is the bisection argument tolerance recorded on the
-    solution (the fixed iteration count drives the bracket well below
-    it).  ``grid_nodes > 0`` additionally tabulates the CDF on that many
-    Chebyshev-spaced nodes across [0, qbar] at construction time, so the
-    solution stays immutable afterwards.
+    ``arg_tol`` is only recorded on the solution (and echoed in run
+    records); it steers nothing.  Every inversion stops at a few ulps of
+    its bracket or at the rounding noise of the benefit sum, whatever
+    ``arg_tol`` says.
     """
     if not isinstance(rewards, RewardVector):
         rewards = RewardVector(tuple(rewards))
@@ -298,7 +319,7 @@ def solve(
         regime = REGIME_INTERIOR
         p = participation_probability(rewards, cost)
         qbar = support_endpoint(rewards, cost)
-    sol = EquilibriumSolution(
+    return EquilibriumSolution(
         rewards=rewards,
         cost=cost,
         p=p,
@@ -307,19 +328,3 @@ def solve(
         regime=regime,
         arg_tol=arg_tol,
     )
-    if grid_nodes > 0 and regime != REGIME_NO_ENTRY:
-        theta = np.linspace(np.pi, 0.0, grid_nodes)
-        q_grid = 0.5 * qbar * (1.0 + np.cos(theta))
-        cdf_grid = sol.cdf(q_grid)
-        sol = EquilibriumSolution(
-            rewards=rewards,
-            cost=cost,
-            p=p,
-            qbar=qbar,
-            shift=shift,
-            regime=regime,
-            arg_tol=arg_tol,
-            grid_q=q_grid,
-            grid_cdf=cdf_grid,
-        )
-    return sol

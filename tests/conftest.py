@@ -8,6 +8,7 @@ from rankcontest import (
     RewardVector,
     solve,
 )
+from rankcontest.binom import pmf_matrix
 
 GOLDEN_COST = LinearCost(c0=0.25, slope=1.0)
 
@@ -50,3 +51,33 @@ def random_instance(rng, n_max=10):
     n = int(rng.integers(2, n_max + 1))
     cost = random_cost(rng)
     return random_rewards(rng, n, cost), cost
+
+
+# Oracles: the matrix route the Bernstein kernel replaced, kept as the
+# reference the faster routes must agree with.
+
+
+def matrix_benefit(x, rewards):
+    """Expected benefit as the prize vector times the full mass matrix."""
+    return rewards.as_array() @ pmf_matrix(rewards.n - 1, x)
+
+
+def matrix_slope(x, rewards):
+    """Benefit slope as the prize steps times the full mass matrix."""
+    steps = np.diff(rewards.as_array())
+    return (rewards.n - 1) * (steps @ pmf_matrix(rewards.n - 2, x))
+
+
+def bisect_benefit(targets, rewards, hi):
+    """Solve benefit(x) = target on [0, hi] by 64 bisection steps on the
+    matrix route; targets out of range end within hi * 2**-64 of the
+    nearer endpoint."""
+    targets = np.asarray(targets, dtype=float)
+    lo = np.zeros_like(targets)
+    high = np.full_like(targets, hi)
+    for _ in range(64):
+        mid = 0.5 * (lo + high)
+        above = matrix_benefit(mid, rewards) > targets
+        lo = np.where(above, mid, lo)
+        high = np.where(above, high, mid)
+    return 0.5 * (lo + high)

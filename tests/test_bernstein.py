@@ -1,0 +1,155 @@
+"""Property tests of the Bernstein kernel and the benefit inversion
+against the matrix-route oracles in conftest.py."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rankcontest import RewardVector, benefit_slope, expected_benefit, solve
+from rankcontest.binom import bernstein, pmf_matrix
+from rankcontest.equilibrium import _invert_benefit
+from conftest import (
+    bisect_benefit,
+    matrix_benefit,
+    matrix_slope,
+    random_cost,
+    random_instance,
+    random_rewards,
+)
+
+EPS = np.finfo(float).eps
+# exact ends and midpoint, their neighbours, and points within 1e-300 of
+# either end (1 - 1e-300 rounds to 1, the nearest float below 1 is
+# 1 - 2**-53)
+EDGE_POINTS = np.array(
+    [0.0, 5e-324, 1e-300, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+     1.0 - 2.0**-53, 1.0 - 1e-300, 1.0]
+)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def rounding_bound(m, coeffs):
+    """Both routes carry O(m) roundings per mass, on the scale of the
+    largest coefficient."""
+    return 8.0 * (m + 1) * EPS * max(1.0, float(np.max(np.abs(coeffs))))
+
+
+def inversion_noise(rewards):
+    return 4.0 * rewards.n * EPS * float(np.max(np.abs(rewards.as_array())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(0, 999),
+    seed=SEEDS,
+    drawn=st.lists(st.floats(0.0, 1.0), max_size=8),
+)
+def test_bernstein_matches_mass_matrix(m, seed, drawn):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=m + 1) * 10.0 ** rng.uniform(-3, 3)
+    x = np.concatenate((EDGE_POINTS, drawn))
+    want = coeffs @ pmf_matrix(m, x)
+    got = bernstein(coeffs, x)
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - want)) <= rounding_bound(m, coeffs)
+    assert got[0] == coeffs[0] and got[EDGE_POINTS.size - 1] == coeffs[-1]
+    rows = np.stack((coeffs, -2.0 * coeffs[::-1]))
+    both = bernstein(rows, x)
+    assert both.shape == (2, x.size)
+    assert np.max(np.abs(both - rows @ pmf_matrix(m, x))) <= rounding_bound(m, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS)
+def test_benefit_and_slope_match_matrix_route(seed):
+    rng = np.random.default_rng(seed)
+    rewards, _ = random_instance(rng, n_max=200)
+    x = np.concatenate((EDGE_POINTS, rng.random(17)))
+    bound = rounding_bound(rewards.n, rewards.as_array())
+    assert np.max(np.abs(expected_benefit(x, rewards) - matrix_benefit(x, rewards))) <= bound
+    slope_bound = rewards.n * rounding_bound(rewards.n, np.diff(rewards.as_array()))
+    assert np.max(np.abs(benefit_slope(x, rewards) - matrix_slope(x, rewards))) <= slope_bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS)
+def test_equilibrium_matches_bisection_oracle(seed):
+    # the acceptance bounds of the Newton route: 1e-12 on p and on
+    # quantiles, 1e-9 on pressure
+    rng = np.random.default_rng(seed)
+    rewards, cost = random_instance(rng, n_max=200)
+    sol = solve(rewards, cost)
+    if sol.regime == "no_entry":
+        return
+    if sol.regime == "interior":
+        oracle_p = bisect_benefit([cost.entry_cost], rewards, 1.0)[0]
+        assert abs(sol.p - oracle_p) <= 1e-12
+    q = np.linspace(0.0, sol.qbar, 33)
+    targets = np.asarray(cost.value(q)) + sol.shift
+    oracle_x = bisect_benefit(targets, rewards, sol.p)
+    assert np.max(np.abs(sol.pressure(q) - oracle_x)) <= 1e-9
+    u = np.concatenate(([0.0, 1.0], rng.random(31)))
+    levels = matrix_benefit(sol.p * (1.0 - u), rewards) - sol.shift
+    oracle_q = np.clip(cost.inverse(levels), 0.0, sol.qbar)
+    assert np.max(np.abs(sol.quantile(u) - oracle_q)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, hi_is_one=st.booleans())
+def test_out_of_range_targets_clamp(seed, hi_is_one):
+    rng = np.random.default_rng(seed)
+    rewards, _ = random_instance(rng, n_max=200)
+    hi = 1.0 if hi_is_one else float(rng.uniform(0.05, 1.0))
+    top, bottom = rewards.top, expected_benefit(hi, rewards)
+    spread = top - bottom
+    targets = np.array([top, top + 1e-3 * spread, top + spread, bottom - 1e-3 * spread,
+                        bottom - spread])
+    got = _invert_benefit(targets, rewards, hi)
+    assert np.array_equal(got, [0.0, 0.0, 0.0, hi, hi])
+    # at a target exactly at an end, the oracle's bisection lands where
+    # rounding noise in its benefit matches the target, which a nearly
+    # flat end (nearly tied end prizes) spreads over noise / slope
+    oracle = bisect_benefit(targets, rewards, hi)
+    with np.errstate(divide="ignore"):
+        conditioning = 4.0 * inversion_noise(rewards) / np.abs(matrix_slope(oracle, rewards))
+    assert np.all(np.abs(got - oracle) <= 1e-12 + conditioning)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS)
+def test_full_regime_inversion_on_unit_bracket(seed):
+    rng = np.random.default_rng(seed)
+    cost = random_cost(rng)
+    drawn = random_rewards(rng, int(rng.integers(2, 201)), cost).as_array()
+    lift = cost.entry_cost * rng.uniform(1.0, 2.0) - drawn[-1]
+    rewards = RewardVector(tuple(drawn + lift))
+    sol = solve(rewards, cost)
+    assert sol.p == 1.0
+    q = np.linspace(0.0, sol.qbar, 33)
+    targets = np.asarray(cost.value(q)) + sol.shift
+    assert np.max(np.abs(sol.pressure(q) - bisect_benefit(targets, rewards, 1.0))) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, ties=st.integers(2, 6), n=st.integers(3, 120))
+def test_exact_top_ties(seed, ties, n):
+    # benefit'(0) = 0, so Newton steps from near 0 overshoot and must
+    # fall back to bisection; roots near 0 are ill-conditioned, so the
+    # agreement bound widens with the rounding noise over the slope
+    rng = np.random.default_rng(seed)
+    ties = min(ties, n - 1)
+    tail = np.sort(rng.uniform(0.0, 0.9, size=n - ties))[::-1]
+    rewards = RewardVector((1.0,) * ties + tuple(tail))
+    hi = 1.0
+    bottom = float(matrix_benefit(hi, rewards)[0])
+    gaps = np.concatenate((np.logspace(-14, -1, 14), rng.uniform(0.0, 1.0, 9)))
+    targets = 1.0 - gaps * (1.0 - bottom)
+    got = _invert_benefit(targets, rewards, hi)
+    oracle = bisect_benefit(targets, rewards, hi)
+    noise = inversion_noise(rewards)
+    with np.errstate(divide="ignore"):
+        conditioning = 4.0 * noise / np.abs(matrix_slope(oracle, rewards))
+    assert np.all(np.abs(got - oracle) <= 1e-9 + conditioning)
+    residual = np.abs(matrix_benefit(got, rewards) - targets)
+    oracle_residual = np.abs(matrix_benefit(oracle, rewards) - targets)
+    assert np.all(residual <= oracle_residual + 2.0 * noise)

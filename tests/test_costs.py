@@ -41,6 +41,41 @@ def test_inverse_examples():
     )
 
 
+def bisection_inverse(model, v):
+    """The quadratic family's former inverse: 80 vectorised bisection
+    steps on [0, hi], hi doubled from 1 until it brackets every target."""
+    targets = np.atleast_1d(np.asarray(v, dtype=float))
+    hi = 1.0
+    while model.value(hi) < targets.max():
+        hi *= 2.0
+    lo = np.zeros_like(targets)
+    hi = np.full_like(targets, hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = model.value(mid) < targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_quadratic_closed_form_matches_bisection():
+    rng = np.random.default_rng(2024)
+    for draw in range(2000):
+        model = QuadraticPlusCost(
+            c0=rng.uniform(0.0, 1.0),
+            a=rng.uniform(0.01, 3.0),
+            b=0.0 if draw % 10 == 0 else rng.uniform(0.0, 5.0),
+        )
+        targets = model.c0 + np.concatenate(([0.0], np.logspace(-12, 3, 63)))
+        got = model.inverse(targets)
+        want = bisection_inverse(model, targets)
+        assert got[0] == 0.0
+        # rounding c0 + a*q + b*q**2 blurs q by about eps * v / a, which
+        # dominates the relative error for targets just above c0
+        blur = 4.0 * np.finfo(float).eps * targets / model.a
+        assert np.all(np.abs(got - want) <= 1e-14 * want + blur)
+
+
 def test_quadratic_inverse_against_bisection_oracle():
     model = QuadraticPlusCost(c0=0.1, a=1.0, b=2.0)
 

@@ -8,6 +8,7 @@ from rankcontest import (
     DomainError,
     LinearCost,
     QuadraticPlusCost,
+    QuadratureError,
     RewardVector,
     benefit_slope,
     binomial_tail,
@@ -227,3 +228,18 @@ class TestContestMetrics:
     def test_no_entry_bundle(self):
         report = contest_metrics(solve(RewardVector((0.2, 0.0)), GOLDEN_COST))
         assert report.budget == report.eq_max == report.eq_avg == 0.0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=QuadratureError,
+        reason=(
+            "known fault, CHANGES.md FOUND line on metrics._quality_integral: "
+            "the q-space route stalls when the top two prizes are nearly but "
+            "not exactly tied; the evaluate benchmark expects this contest to "
+            "fail, so mending it waits for a benchmark change that updates "
+            "its expected_failure flags"
+        ),
+    )
+    def test_nearly_tied_top_prizes(self):
+        sol = solve(RewardVector((1.0, 0.999, 0.0)), GOLDEN_COST)
+        contest_metrics(sol)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,3 +149,32 @@ class TestDeviationCheck:
         a = deviation_check(golden_interior, [0.2, 0.4], 3000, seed=61)
         b = deviation_check(golden_interior, [0.2, 0.4], 3000, seed=61)
         assert a == b
+
+
+class TestMemory:
+    # the quantile's Bernstein sum keeps O(points) floats: 1,000 trials
+    # of n = 100 draw 100,000 qualities, about 0.8 MB a vector, where a
+    # mass matrix of every point would take 80 MB
+    PEAK_MB = 20.0
+
+    @pytest.fixture(scope="class")
+    def linear_100(self):
+        prizes = RewardVector(tuple(np.linspace(1.0, 0.0, 100)))
+        return solve(prizes, GOLDEN_COST)
+
+    @staticmethod
+    def peak_mb(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_run_peak(self, linear_100):
+        assert self.peak_mb(lambda: run(linear_100, 1000, seed=3)) <= self.PEAK_MB
+
+    def test_deviation_check_peak(self, linear_100):
+        grid = np.linspace(0.0, linear_100.qbar, 9)
+        peak = self.peak_mb(lambda: deviation_check(linear_100, grid, 1000, seed=3))
+        assert peak <= self.PEAK_MB
