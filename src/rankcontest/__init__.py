@@ -88,7 +88,6 @@ from .montecarlo import (
     deviation_check,
     play_round,
     run,
-    sample_quality,
     trial_streams,
 )
 
@@ -146,7 +145,6 @@ __all__ = [
     "rescale_to_budget",
     "reward_sensitivity",
     "run",
-    "sample_quality",
     "slope_bound_gap",
     "solve",
     "support_endpoint",

@@ -98,7 +98,6 @@ class InstanceSpec:
     quad_nodes: int = 8
     quad_tol: float = 1e-9
     trials: int = 100000
-    threads: int = 1
     rank: int = 2
     delta: float | None = None
     taxes: list[float] | None = None
@@ -448,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quad-nodes", dest="quad_nodes", type=int)
     common.add_argument("--quad-tol", dest="quad_tol", type=float)
     common.add_argument("--trials", type=int)
-    common.add_argument("--threads", type=int, help="worker cap; never changes results")
     common.add_argument("--csv", help="also write the tabular output to this path")
     for name in COMMANDS:
         cmd = sub.add_parser(name, parents=[common])

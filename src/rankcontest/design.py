@@ -25,7 +25,7 @@ from .equilibrium import REGIME_NO_ENTRY, solve
 from .errors import ContestError, ConvergenceError, DomainError
 from .mechanism import AttentionCaps, RewardVector, attention_schedule, taxed_wta, winner_take_all
 from .metrics import (
-    expected_avg_quality,
+    contest_metrics,
     expected_budget,
     expected_max_quality,
     rank_probability,
@@ -186,9 +186,8 @@ def attention_certificate(
             f"{max_candidates} cap; reduce levels or ranks"
         )
     schedule = optimal_attention(caps, cost)
-    sched_sol = solve(schedule, cost)
-    sched_max = expected_max_quality(sched_sol)
-    sched_avg = expected_avg_quality(sched_sol)
+    sched = contest_metrics(solve(schedule, cost))
+    sched_max, sched_avg = sched.eq_max, sched.eq_avg
     best_max = -np.inf
     best_avg = -np.inf
     max_ties = 0
@@ -201,9 +200,8 @@ def attention_certificate(
         except ContestError:
             continue
         count += 1
-        sol = solve(candidate, cost)
-        c_max = expected_max_quality(sol)
-        c_avg = expected_avg_quality(sol)
+        report = contest_metrics(solve(candidate, cost))
+        c_max, c_avg = report.eq_max, report.eq_avg
         best_max = max(best_max, c_max)
         best_avg = max(best_avg, c_avg)
         if candidate.prizes != schedule.prizes:
@@ -358,8 +356,8 @@ def budget_matched_derivative(
     bound = -ws / w1 if w1 > 0 else float("nan")
 
     def objectives(vec: RewardVector) -> tuple[float, float, float]:
-        sol = solve(vec, cost)
-        return vec.top, expected_max_quality(sol), expected_avg_quality(sol)
+        report = contest_metrics(solve(vec, cost))
+        return vec.top, report.eq_max, report.eq_avg
 
     if up_ok and down_ok:
         mode = "central"
@@ -434,6 +432,7 @@ def tax_sweep(
         try:
             vec = taxed_wta(n, prize, tax, cost)
             sol = solve(vec, cost)
+            report = contest_metrics(sol)
             rows.append(
                 TaxRow(
                     tax=tax,
@@ -441,9 +440,9 @@ def tax_sweep(
                     reason=None,
                     top_prize=vec.top,
                     p=sol.p,
-                    eq_max=expected_max_quality(sol),
-                    eq_avg=expected_avg_quality(sol),
-                    budget=expected_budget(sol),
+                    eq_max=report.eq_max,
+                    eq_avg=report.eq_avg,
+                    budget=report.budget,
                 )
             )
         except ContestError as exc:

@@ -9,13 +9,22 @@ The payout has a closed form.  With entry probability p the number of
 entrants is Binomial(n, p) and the j highest prizes are paid when j
 agents enter, so
 
-    budget = sum_k a_k * P(Binomial(n, p) >= k).
+    budget = sum_k a_k * P(Binomial(n, p) >= k),
+
+and the chance that one named agent holds rank k is the same tail over
+n.  :func:`contest_metrics` builds that tail vector once for the budget
+and every rank.
 
 Quality statistics are integrals of the survival function over the
 support and are evaluated with composite Gauss-Legendre panels that
-double until two successive estimates agree.  A second, substitution
-route for the same integrals (integrating over pressure instead of
-quality, using the exact cost inverse) is kept as a cross-check.
+double until two successive estimates agree.  The best and the average
+quality integrate over the same nodes, so :func:`contest_metrics` runs
+them as two rows of one pass and inverts the pressure at each node once
+for both; each row keeps its own stopping test, so it returns exactly
+what :func:`expected_max_quality` or :func:`expected_avg_quality` does
+alone.  A second, substitution route for the same integrals
+(integrating over pressure instead of quality, using the exact cost
+inverse) is kept as a cross-check.
 """
 
 import math
@@ -74,15 +83,6 @@ def expected_budget(sol: EquilibriumSolution) -> float:
     return float(sol.rewards.as_array() @ tails)
 
 
-def _survival_max(sol: EquilibriumSolution):
-    n = sol.n
-
-    def integrand(q):
-        return 1.0 - (1.0 - sol.pressure(q)) ** n
-
-    return integrand
-
-
 def _support_endpoint_singular(sol: EquilibriumSolution) -> bool:
     prizes = sol.rewards.prizes
     if prizes[0] == prizes[1]:
@@ -108,8 +108,8 @@ def expected_max_quality(
     inverse but no per-node root finding; the two routes agree to
     quadrature tolerance and serve as mutual checks.
     """
-    value, _ = _quality_integral(sol, "max", method, panels, nodes, tol)
-    return value
+    values, _ = _quality_integral(sol, ("max",), method, panels, nodes, tol)
+    return float(values[0])
 
 
 def expected_avg_quality(
@@ -122,37 +122,53 @@ def expected_avg_quality(
 ) -> float:
     """Expected quality of one agent (0 when she stays out): the integral
     of the pressure x(q) over the support.  Total quality is n times this."""
-    value, _ = _quality_integral(sol, "avg", method, panels, nodes, tol)
-    return value
+    values, _ = _quality_integral(sol, ("avg",), method, panels, nodes, tol)
+    return float(values[0])
 
 
 def _quality_integral(sol, which, method, panels, nodes, tol):
+    """Integrate the rows named in ``which`` ("max", "avg") in one pass.
+
+    Returns per-row arrays (values, error estimates).  Every node's
+    pressure, or on the substitution route its q(x) and weight, is
+    computed once and feeds all rows.
+    """
+    zeros = np.zeros(len(which))
     if sol.regime == REGIME_NO_ENTRY:
-        return 0.0, 0.0
+        return zeros, zeros
     n = sol.n
+
+    def rows(x, weight=None):
+        out = np.empty((len(which), np.size(x)))
+        for row, name in zip(out, which):
+            row[...] = 1.0 - (1.0 - x) ** n if name == "max" else x
+            if weight is not None:
+                row *= weight
+        return out
+
     if method == "grid" and _support_endpoint_singular(sol):
         # ties at the relevant end of the prize vector give x(q) an
         # infinite derivative at a support endpoint, which stalls
         # panel doubling; the pressure-space route stays smooth there
         method = "substitution"
     if method == "grid":
-        if which == "max":
-            f = _survival_max(sol)
-        else:
-            f = sol.pressure
-        return integrate(f, 0.0, sol.qbar, panels=panels, nodes=nodes, tol=tol)
-    if method == "substitution":
+        def f(q):
+            return rows(sol.pressure(q))
+
+        hi = sol.qbar
+    elif method == "substitution":
         # q as a function of pressure, then integrate dq = q'(x) dx:
         # q'(x) = benefit'(x) / c'(q(x)) and both integrands are smooth.
         def f(x):
             q = sol.cost.inverse(expected_benefit(x, sol.rewards) - sol.shift)
-            weight = -benefit_slope(x, sol.rewards) / sol.cost.derivative(q)
-            if which == "max":
-                return (1.0 - (1.0 - x) ** n) * weight
-            return x * weight
+            return rows(x, -benefit_slope(x, sol.rewards) / sol.cost.derivative(q))
 
-        return integrate(f, 0.0, sol.p, panels=panels, nodes=nodes, tol=tol)
-    raise DomainError(f"unknown method {method!r}")
+        hi = sol.p
+    else:
+        raise DomainError(f"unknown method {method!r}")
+    if hi <= 0.0:
+        return zeros, zeros
+    return integrate(f, 0.0, hi, panels=panels, nodes=nodes, tol=tol)
 
 
 def rank_probability_at(sol: EquilibriumSolution, k: int, q) -> float:
@@ -212,16 +228,29 @@ def contest_metrics(
     nodes: int = 8,
     tol: float = 1e-9,
 ) -> ContestMetrics:
-    """Budget, expected best/average/total quality and rank odds."""
-    budget = expected_budget(sol)
-    eq_max, err_max = _quality_integral(sol, "max", "grid", panels, nodes, tol)
-    eq_avg, err_avg = _quality_integral(sol, "avg", "grid", panels, nodes, tol)
-    ranks = tuple(rank_probability(sol, k) for k in range(1, sol.n + 1))
+    """Budget, expected best/average/total quality and rank odds.
+
+    One binomial tail vector serves the budget and every rank's odds,
+    and one quadrature pass integrates the best and the average quality
+    together, inverting the pressure once per node for both.  Each
+    field equals what :func:`expected_budget`, :func:`rank_probability`,
+    :func:`expected_max_quality` and :func:`expected_avg_quality` return
+    on their own; ``quadrature_error_estimate`` is the larger of the two
+    integrals' estimates.
+    """
+    n = sol.n
+    tails = tail_vector(n, sol.p)
+    budget = float(sol.rewards.as_array() @ tails[1:])
+    # at p = 0 the tail vector is the exact point mass (1, 0, ..., 0)
+    ranks = tuple(float(tails[k]) / n for k in range(1, n + 1))
+    (eq_max, eq_avg), errors = _quality_integral(
+        sol, ("max", "avg"), "grid", panels, nodes, tol
+    )
     return ContestMetrics(
         budget=budget,
-        eq_max=eq_max,
-        eq_avg=eq_avg,
-        eq_total=sol.n * eq_avg,
+        eq_max=float(eq_max),
+        eq_avg=float(eq_avg),
+        eq_total=n * float(eq_avg),
         rank_prob=ranks,
-        quadrature_error_estimate=max(err_max, err_avg),
+        quadrature_error_estimate=float(max(errors)),
     )

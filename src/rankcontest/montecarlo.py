@@ -26,6 +26,12 @@ from .errors import DomainError
 _ENTRY, _QUALITY, _TIE = 1, 2, 3
 _DEV_ENTRY, _DEV_QUALITY, _DEV_TIE, _DEV_SELF = 11, 12, 13, 14
 
+# Largest trials * n one call of run or deviation_check accepts.  Both
+# hold every draw at once, about 50 to 60 bytes per agent-trial at their
+# peak, so the cap keeps a call near 1.1 GB; larger requests are refused
+# before any stream is drawn.
+MAX_AGENT_TRIALS = 20_000_000
+
 
 def _stream(seed: int, role: int) -> np.random.Generator:
     return np.random.Generator(
@@ -48,12 +54,6 @@ def trial_streams(seed: int, trial: int, n: int):
             gen.random(offset % 4)
         streams.append(gen)
     return tuple(streams)
-
-
-def sample_quality(sol: EquilibriumSolution, u):
-    """Map a uniform draw through the exact inverse CDF of the
-    equilibrium quality distribution."""
-    return sol.quantile(u)
 
 
 @dataclass(frozen=True)
@@ -165,6 +165,16 @@ class SimulationReport:
         }
 
 
+def _check_work(trials: int, n: int) -> None:
+    if trials < 1:
+        raise DomainError("at least one trial required")
+    if trials * n > MAX_AGENT_TRIALS:
+        raise DomainError(
+            f"{trials} trials of {n} agents exceed the simulator's cap of "
+            f"{MAX_AGENT_TRIALS:,} agent-trials (trials * n); use fewer trials"
+        )
+
+
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     mean = float(values.mean())
     if values.size < 2:
@@ -177,11 +187,11 @@ def run(sol: EquilibriumSolution, trials: int, seed: int) -> SimulationReport:
 
     Aggregation is vectorized but consumes the per-trial stream layout
     documented above, so it matches a loop of :func:`play_round` round
-    for round.
+    for round.  ``trials * n`` above :data:`MAX_AGENT_TRIALS` raises
+    :class:`DomainError` before anything is drawn.
     """
-    if trials < 1:
-        raise DomainError("at least one trial required")
     n = sol.n
+    _check_work(trials, n)
     entries = _stream(seed, _ENTRY).random((trials, n))
     quality_draws = _stream(seed, _QUALITY).random((trials, n))
     entered = entries < sol.p
@@ -220,10 +230,10 @@ def deviation_check(
     Across the support the curve is flat at the equilibrium profit
     level; past the support it falls off as pure extra cost.  The same
     opponent draws are reused for every grid point (common random
-    numbers), which only sharpens the comparison between points.
+    numbers), which only sharpens the comparison between points.  The
+    work cap of :func:`run` applies here too.
     """
-    if trials < 1:
-        raise DomainError("at least one trial required")
+    _check_work(trials, sol.n)
     q_grid = np.atleast_1d(np.asarray(q_grid, dtype=float))
     if np.any(q_grid < 0.0):
         raise DomainError("deviation qualities must be nonnegative")

@@ -42,6 +42,14 @@ class TestSolve:
         assert echo["quad_panels"] == 64
         assert echo["rewards"] == [1.0, 0.0]
 
+    def test_threads_no_longer_echoed(self, capsys, schema):
+        code, record = run_cli(capsys, "solve", *GOLDEN)
+        assert code == 0
+        assert "threads" not in record["instance"]
+        # records written while the key existed still validate
+        record["instance"]["threads"] = 1
+        jsonschema.validate(record, schema)
+
     def test_csv_grid(self, capsys, tmp_path):
         path = tmp_path / "grid.csv"
         code, _ = run_cli(capsys, "solve", *GOLDEN, "--grid", "17", "--csv", str(path))
@@ -106,6 +114,21 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_simulator_work_cap_validation(self, capsys):
+        # 100,000 default trials of 1,000 agents exceed the work cap
+        for command in ("simulate", "deviate"):
+            code, record = run_cli(
+                capsys, command, "--n", "1000", "--wta", "1",
+                "--cost", "linear:c0=0.25,slope=1",
+            )
+            assert code == 2
+            assert record is None
+            assert "agent-trials" in run_cli.err
+
+    def test_threads_flag_removed(self, capsys):
+        code, _ = run_cli(capsys, "solve", *GOLDEN, "--threads", "2")
+        assert code == 1
+
     def test_verify_failure_exit(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_golden_checks", lambda: [("forced", False)])
         code, record = run_cli(capsys, "verify", "--suite", "golden")
@@ -139,6 +162,13 @@ class TestConfigFile:
         config.write_text(json.dumps({"rewards": [1, 0], "costt": "x"}))
         code, _ = run_cli(capsys, "solve", "--config", str(config))
         assert code == 2
+
+    def test_threads_key_rejected(self, capsys, tmp_path):
+        config = tmp_path / "instance.json"
+        config.write_text(json.dumps({"rewards": [1, 0], "threads": 1}))
+        code, _ = run_cli(capsys, "solve", "--config", str(config))
+        assert code == 2
+        assert "unknown config keys: ['threads']" in run_cli.err
 
     def test_def21_rejection_from_config(self, capsys, tmp_path):
         config = tmp_path / "instance.json"

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
+from rankcontest import binom, metrics
 from rankcontest import (
     DomainError,
     LinearCost,
@@ -21,7 +24,9 @@ from rankcontest import (
     slope_bound_gap,
     solve,
 )
-from conftest import GOLDEN_COST, random_instance
+from rankcontest.equilibrium import EquilibriumSolution
+from rankcontest.quadrature import integrate
+from conftest import GOLDEN_COST, random_cost, random_instance, random_rewards
 
 
 class TestBinomialTail:
@@ -243,3 +248,156 @@ class TestContestMetrics:
     def test_nearly_tied_top_prizes(self):
         sol = solve(RewardVector((1.0, 0.999, 0.0)), GOLDEN_COST)
         contest_metrics(sol)
+
+
+def _kind_instance(rng, n, kind):
+    """A conftest instance of the given kind: as drawn (mostly interior),
+    full entry, an exact tie at the top prize (the substitution route),
+    or prizes below the entry cost (no entry)."""
+    cost = random_cost(rng)
+    if kind == "drawn":
+        return random_rewards(rng, n, cost), cost
+    rewards = random_rewards(rng, max(n, 3) if kind == "tie" else n, cost)
+    if kind == "full":
+        return RewardVector(tuple(rewards.as_array() + cost.entry_cost)), cost
+    if kind == "tie":
+        return rewards.replace(2, rewards.top), cost
+    scale = 0.9 * cost.entry_cost / rewards.top
+    return RewardVector(tuple(rewards.as_array() * scale)), cost
+
+
+def _single_row(sol, name):
+    """One quality integral alone: its value and error estimate, or the
+    QuadratureError it raises."""
+    try:
+        values, errors = metrics._quality_integral(sol, (name,), "grid", 64, 8, 1e-9)
+    except QuadratureError as exc:
+        return exc
+    return float(values[0]), float(errors[0])
+
+
+class TestSharedEvaluation:
+    """contest_metrics shares one tail vector and one quadrature pass;
+    every number must stay exactly what the single-purpose functions
+    return."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 200),
+        kind=st.sampled_from(["drawn", "full", "tie", "no_entry"]),
+    )
+    def test_bundle_equals_single_functions(self, seed, n, kind):
+        rewards, cost = _kind_instance(np.random.default_rng(seed), n, kind)
+        sol = solve(rewards, cost)
+        if kind == "full":
+            assert sol.regime == "full"
+        if kind == "no_entry":
+            assert sol.regime == "no_entry"
+        rows = [_single_row(sol, name) for name in ("max", "avg")]
+        failures = [row for row in rows if isinstance(row, QuadratureError)]
+        if failures:
+            with pytest.raises(QuadratureError) as info:
+                contest_metrics(sol)
+            assert str(info.value) == str(failures[0])
+            assert info.value.estimate == failures[0].estimate
+            return
+        report = contest_metrics(sol)
+        assert report.budget == expected_budget(sol)
+        assert report.rank_prob == tuple(
+            rank_probability(sol, k) for k in range(1, sol.n + 1)
+        )
+        assert report.eq_max == expected_max_quality(sol) == rows[0][0]
+        assert report.eq_avg == expected_avg_quality(sol) == rows[1][0]
+        assert report.eq_total == sol.n * expected_avg_quality(sol)
+        assert report.quadrature_error_estimate == max(rows[0][1], rows[1][1])
+
+    def test_one_tail_vector_and_one_inversion_per_level(self, monkeypatch):
+        tails = []
+        pressures = []
+        tail_vector = binom.tail_vector
+        pressure = EquilibriumSolution.pressure
+
+        def counting_tail_vector(m, x):
+            tails.append(m)
+            return tail_vector(m, x)
+
+        def counting_pressure(sol, q):
+            pressures.append(np.size(q))
+            return pressure(sol, q)
+
+        for module in (binom, metrics):
+            monkeypatch.setattr(module, "tail_vector", counting_tail_vector)
+        monkeypatch.setattr(EquilibriumSolution, "pressure", counting_pressure)
+
+        def levels(call):
+            pressures.clear()
+            call()
+            return len(pressures)
+
+        rng = np.random.default_rng(3)
+        uneven = 0
+        for _ in range(40):
+            rewards, cost = random_instance(rng, n_max=40)
+            sol = solve(rewards, cost)
+            try:
+                max_levels = levels(lambda: expected_max_quality(sol))
+                avg_levels = levels(lambda: expected_avg_quality(sol))
+            except QuadratureError:
+                continue
+            tails.clear()
+            assert levels(lambda: contest_metrics(sol)) == max(max_levels, avg_levels)
+            assert tails == [sol.n]
+            uneven += max_levels != avg_levels
+        # some instances refine one integral further than the other
+        assert uneven > 0
+
+
+class TestRowQuadrature:
+    """quadrature.integrate on an integrand with several rows."""
+
+    TOL = 1e-12
+
+    @staticmethod
+    def kink(x):
+        return np.abs(x - 1.0 / 3.0) ** 2.5
+
+    @staticmethod
+    def step(x):
+        return (x > 1.0 / 3.0) * 1.0
+
+    def single(self, g):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return g(x)
+
+        return integrate(f, 0.0, 1.0, tol=self.TOL), len(calls)
+
+    def test_each_row_equals_the_row_alone(self):
+        (exp_value, exp_err), exp_levels = self.single(np.exp)
+        (kink_value, kink_err), kink_levels = self.single(self.kink)
+        assert exp_levels < kink_levels
+        for order in ((np.exp, self.kink), (self.kink, np.exp)):
+            values, errors = integrate(
+                lambda x: np.stack([g(x) for g in order]), 0.0, 1.0, tol=self.TOL
+            )
+            got = dict(zip(order, zip(values, errors)))
+            assert got[np.exp] == (exp_value, exp_err)
+            assert got[self.kink] == (kink_value, kink_err)
+
+    def test_any_failing_row_raises(self):
+        with pytest.raises(QuadratureError) as alone:
+            integrate(self.step, 0.0, 1.0, tol=self.TOL)
+        with pytest.raises(QuadratureError) as alone_sqrt:
+            integrate(np.sqrt, 0.0, 1.0, tol=self.TOL)
+        for rows, first in (
+            ((np.exp, self.step), alone),
+            ((self.step, np.exp), alone),
+            ((np.sqrt, self.step), alone_sqrt),
+        ):
+            with pytest.raises(QuadratureError) as info:
+                integrate(lambda x: np.stack([g(x) for g in rows]), 0.0, 1.0, tol=self.TOL)
+            assert info.value.estimate == first.value.estimate
+            assert str(info.value) == str(first.value)

@@ -16,25 +16,25 @@ from rankcontest import (
     expected_max_quality,
     play_round,
     run,
-    sample_quality,
     solve,
     trial_streams,
 )
+from rankcontest.montecarlo import MAX_AGENT_TRIALS
 from conftest import GOLDEN_COST
 
 
 class TestSampleQuality:
     def test_endpoints(self, golden_interior):
-        assert sample_quality(golden_interior, 0.0) == pytest.approx(0.0, abs=1e-10)
-        assert sample_quality(golden_interior, 1.0) == pytest.approx(0.75, abs=1e-10)
+        assert golden_interior.quantile(0.0) == pytest.approx(0.0, abs=1e-10)
+        assert golden_interior.quantile(1.0) == pytest.approx(0.75, abs=1e-10)
 
     def test_golden_value(self, golden_interior):
-        assert sample_quality(golden_interior, 0.4) == pytest.approx(0.3, abs=1e-10)
+        assert golden_interior.quantile(0.4) == pytest.approx(0.3, abs=1e-10)
 
     def test_no_entry_refused(self):
         sol = solve(RewardVector((0.2, 0.0)), GOLDEN_COST)
         with pytest.raises(StateError):
-            sample_quality(sol, 0.5)
+            sol.quantile(0.5)
 
 
 class TestPlayRound:
@@ -178,3 +178,35 @@ class TestMemory:
         grid = np.linspace(0.0, linear_100.qbar, 9)
         peak = self.peak_mb(lambda: deviation_check(linear_100, grid, 1000, seed=3))
         assert peak <= self.PEAK_MB
+
+
+class TestWorkCap:
+    # the CLI default of 100,000 trials at n = 1000 asks for 1e8
+    # agent-trials, several GB of draws; it must be refused before any
+    # of them is made
+    @pytest.fixture(scope="class")
+    def linear_1000(self):
+        prizes = RewardVector(tuple(np.linspace(1.0, 0.0, 1000)))
+        return solve(prizes, GOLDEN_COST)
+
+    def test_refused_before_allocating(self, linear_1000):
+        assert 100_000 * linear_1000.n > MAX_AGENT_TRIALS
+        for call in (
+            lambda: run(linear_1000, 100_000, seed=3),
+            lambda: deviation_check(linear_1000, [0.0, 0.1], 100_000, seed=3),
+        ):
+            tracemalloc.start()
+            try:
+                with pytest.raises(DomainError, match="agent-trials"):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+
+    def test_one_trial_over_the_cap_refused(self, golden_interior):
+        trials = MAX_AGENT_TRIALS // golden_interior.n
+        with pytest.raises(DomainError):
+            run(golden_interior, trials + 1, seed=3)
+        with pytest.raises(DomainError):
+            deviation_check(golden_interior, [0.1], trials + 1, seed=3)
