@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .binom import pmf_matrix
+from .binom import bernstein
 from .costs import CostModel, parse_cost
 from .design import (
     attention_certificate,
@@ -93,7 +93,6 @@ class InstanceSpec:
     caps: list[float] | None = None
     cost: str | None = None
     seed: int = 0
-    arg_tol: float = 1e-12
     quad_panels: int = 64
     quad_nodes: int = 8
     quad_tol: float = 1e-9
@@ -198,7 +197,7 @@ def build_contest(spec: InstanceSpec) -> tuple[RewardVector, CostModel]:
 
 def _cmd_solve(spec: InstanceSpec):
     rewards, cost = build_contest(spec)
-    sol = solve(rewards, cost, arg_tol=spec.arg_tol)
+    sol = solve(rewards, cost)
     header = ["q", "G", "x", "payoff_residual"]
     rows = []
     residual_max = 0.0
@@ -224,7 +223,7 @@ def _cmd_solve(spec: InstanceSpec):
 
 def _cmd_metrics(spec: InstanceSpec):
     rewards, cost = build_contest(spec)
-    sol = solve(rewards, cost, arg_tol=spec.arg_tol)
+    sol = solve(rewards, cost)
     report = contest_metrics(
         sol, panels=spec.quad_panels, nodes=spec.quad_nodes, tol=spec.quad_tol
     )
@@ -237,7 +236,7 @@ def _cmd_metrics(spec: InstanceSpec):
 
 def _cmd_simulate(spec: InstanceSpec):
     rewards, cost = build_contest(spec)
-    sol = solve(rewards, cost, arg_tol=spec.arg_tol)
+    sol = solve(rewards, cost)
     report = run_simulation(sol, spec.trials, spec.seed)
     header = ["entrants", "count"]
     rows = [[k, c] for k, c in enumerate(report.entrant_histogram)]
@@ -246,7 +245,7 @@ def _cmd_simulate(spec: InstanceSpec):
 
 def _cmd_deviate(spec: InstanceSpec):
     rewards, cost = build_contest(spec)
-    sol = solve(rewards, cost, arg_tol=spec.arg_tol)
+    sol = solve(rewards, cost)
     top = sol.qbar + spec.margin if sol.regime != REGIME_NO_ENTRY else spec.margin
     grid = np.linspace(0.0, top, spec.grid)
     curve = deviation_check(sol, grid, spec.trials, spec.seed)
@@ -371,7 +370,7 @@ def _identity_checks():
                 direct = binomial_tail(n, k, float(p))
 
                 def integrand(x, k=k, n=n):
-                    return pmf_matrix(n - 1, x)[k - 1]
+                    return bernstein(np.eye(1, n, k - 1)[0], x)
 
                 integral, _ = integrate(integrand, 0.0, float(p), panels=4, nodes=16)
                 worst_tail = max(worst_tail, abs(direct - n * integral))
@@ -442,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--caps", type=_float_list, help="attention caps, e.g. 1,0.5,0.4")
     common.add_argument("--cost", help="cost spec, e.g. linear:c0=0.25,slope=1")
     common.add_argument("--seed", type=int)
-    common.add_argument("--arg-tol", dest="arg_tol", type=float)
     common.add_argument("--quad-panels", dest="quad_panels", type=int)
     common.add_argument("--quad-nodes", dest="quad_nodes", type=int)
     common.add_argument("--quad-tol", dest="quad_tol", type=float)

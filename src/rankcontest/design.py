@@ -16,7 +16,7 @@ builds sweeps and trials on top of it.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -280,7 +280,7 @@ def hold_budget(
         a1 = lo
     else:
         hi = max(rewards.top, 2.0 * abs(lo), 1.0)
-        lo2, g_lo2, hi, g_hi = expand_bracket(gap, lo, hi)
+        lo2, g_lo2, hi, g_hi = expand_bracket(gap, lo, hi, g_lo=g_lo)
         try:
             a1 = bracketed_root(
                 gap, lo2, hi, g_lo=g_lo2, g_hi=g_hi, ftol=budget_tol, max_iter=max_iter
@@ -313,15 +313,7 @@ class PerturbationResult:
     slope_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "step": self.step,
-            "mode": self.mode,
-            "da1_das": self.da1_das,
-            "d_eqmax": self.d_eqmax,
-            "d_eqavg": self.d_eqavg,
-            "slope_bound": self.slope_bound,
-        }
+        return asdict(self)
 
 
 def budget_matched_derivative(
@@ -401,16 +393,7 @@ class TaxRow:
     budget: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "tax": self.tax,
-            "ok": self.ok,
-            "reason": self.reason,
-            "top_prize": self.top_prize,
-            "p": self.p,
-            "eq_max": self.eq_max,
-            "eq_avg": self.eq_avg,
-            "budget": self.budget,
-        }
+        return asdict(self)
 
 
 def tax_sweep(
@@ -475,9 +458,12 @@ def wta_prize_for_budget(n: int, budget: float, cost: CostModel) -> float:
         return expected_budget(solve(winner_take_all(n, prize), cost)) - budget
 
     lo = c0 + max(1e-9, 1e-9 * c0)
-    if gap(lo) >= 0.0:
+    g_lo = gap(lo)
+    if g_lo >= 0.0:
         return lo
-    lo2, g_lo, hi, g_hi = expand_bracket(gap, lo, max(2.0 * lo, budget + c0, 1.0))
+    lo2, g_lo, hi, g_hi = expand_bracket(
+        gap, lo, max(2.0 * lo, budget + c0, 1.0), g_lo=g_lo
+    )
     return bracketed_root(gap, lo2, hi, g_lo=g_lo, g_hi=g_hi, ftol=1e-10)
 
 
@@ -515,15 +501,7 @@ class BudgetSignRow:
     sign: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "budget": self.budget,
-            "ok": self.ok,
-            "reason": self.reason,
-            "top_prize": self.top_prize,
-            "p": self.p,
-            "d_eqavg": self.d_eqavg,
-            "sign": self.sign,
-        }
+        return asdict(self)
 
 
 def _avg_derivative_at_wta(
@@ -643,18 +621,7 @@ class DominanceReport:
     wta_eq_max: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "budget": self.budget,
-            "trials": self.trials,
-            "hazard": self.hazard,
-            "asserted": self.asserted,
-            "skipped": self.skipped,
-            "violations": self.violations,
-            "worst_gap": self.worst_gap,
-            "wta_prize": self.wta_prize,
-            "wta_eq_max": self.wta_eq_max,
-        }
+        return asdict(self)
 
 
 def _random_monotone_rewards(rng: np.random.Generator, n: int) -> RewardVector:

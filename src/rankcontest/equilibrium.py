@@ -213,8 +213,6 @@ class EquilibriumSolution:
 
     ``cdf``/``pressure``/``quantile``/``payoff_residual`` evaluate the
     equilibrium objects on demand; all accept scalars or arrays.
-    ``arg_tol`` is the value the solve was asked for, recorded for run
-    records; it steers no computation.
     """
 
     rewards: RewardVector
@@ -223,7 +221,6 @@ class EquilibriumSolution:
     qbar: float
     shift: float
     regime: str
-    arg_tol: float = 1e-12
 
     @property
     def n(self) -> int:
@@ -292,13 +289,11 @@ class EquilibriumSolution:
         return float(out[0]) if scalar else out
 
 
-def solve(rewards, cost: CostModel, *, arg_tol: float = 1e-12) -> EquilibriumSolution:
+def solve(rewards, cost: CostModel) -> EquilibriumSolution:
     """Compute the symmetric mixed-strategy equilibrium.
 
-    ``arg_tol`` is only recorded on the solution (and echoed in run
-    records); it steers nothing.  Every inversion stops at a few ulps of
-    its bracket or at the rounding noise of the benefit sum, whatever
-    ``arg_tol`` says.
+    Every inversion stops at a few ulps of its bracket or at the
+    rounding noise of the benefit sum.
     """
     if not isinstance(rewards, RewardVector):
         rewards = RewardVector(tuple(rewards))
@@ -326,5 +321,4 @@ def solve(rewards, cost: CostModel, *, arg_tol: float = 1e-12) -> EquilibriumSol
         qbar=qbar,
         shift=shift,
         regime=regime,
-        arg_tol=arg_tol,
     )

@@ -170,12 +170,13 @@ def taxed_wta(n: int, prize: float, tax: float, cost: CostModel) -> RewardVector
         return expected_budget(solve(vec, cost)) - target
 
     lo = cost.entry_cost * (1.0 + 1e-12) + 1e-300
-    if gap(lo) > 1e-8:
+    g_lo = gap(lo)
+    if g_lo > 1e-8:
         raise DomainError(
             "no feasible taxed schedule: the required top prize would fall "
             "to the entry cost, where participation vanishes"
         )
-    lo2, g_lo, hi, g_hi = expand_bracket(gap, lo, max(prize, 2.0 * lo))
+    lo2, g_lo, hi, g_hi = expand_bracket(gap, lo, max(prize, 2.0 * lo), g_lo=g_lo)
     try:
         a1 = bracketed_root(gap, lo2, hi, g_lo=g_lo, g_hi=g_hi, ftol=1e-8)
     except ConvergenceError as exc:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binom import pmf_matrix, tail_vector
+from .binom import bernstein, tail_vector
 from .equilibrium import (
     REGIME_NO_ENTRY,
     EquilibriumSolution,
@@ -175,13 +175,14 @@ def rank_probability_at(sol: EquilibriumSolution, k: int, q) -> float:
     """Probability that an entrant playing quality q lands on rank k.
 
     The other n-1 agents each beat q with probability x(q), so the rank
-    count is Binomial(n-1, x(q)) and this is its mass at k-1.
+    count is Binomial(n-1, x(q)) and this is its mass at k-1: the
+    Bernstein sum of the unit row e_{k-1}.
     """
     if not 1 <= k <= sol.n:
         raise DomainError(f"rank must be in 1..{sol.n}")
     scalar = np.ndim(q) == 0
     x = np.atleast_1d(sol.pressure(q))
-    out = pmf_matrix(sol.n - 1, x)[k - 1]
+    out = bernstein(np.eye(1, sol.n, k - 1)[0], x)
     return float(out[0]) if scalar else out
 
 

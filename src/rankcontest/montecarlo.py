@@ -14,7 +14,7 @@ same numbers by advancing each stream to its offset.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -146,23 +146,9 @@ class SimulationReport:
     empirical_payout: float
     payout_se: float
     entrant_histogram: tuple[int, ...]
-    payoff_curve: tuple[PayoffPoint, ...] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "empirical_eq_max": self.empirical_eq_max,
-            "eq_max_se": self.eq_max_se,
-            "empirical_eq_avg": self.empirical_eq_avg,
-            "eq_avg_se": self.eq_avg_se,
-            "empirical_payout": self.empirical_payout,
-            "payout_se": self.payout_se,
-            "entrant_histogram": list(self.entrant_histogram),
-            "payoff_curve": None
-            if self.payoff_curve is None
-            else [point.to_dict() for point in self.payoff_curve],
-        }
+        return asdict(self)
 
 
 def _check_work(trials: int, n: int) -> None:

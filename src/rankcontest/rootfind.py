@@ -3,10 +3,13 @@
 from .errors import ConvergenceError
 
 
-def expand_bracket(g, lo: float, hi: float, *, max_doublings: int = 60):
+def expand_bracket(
+    g, lo: float, hi: float, *, g_lo: float | None = None, max_doublings: int = 60
+):
     """Grow ``hi`` until ``g(hi) >= 0`` for an increasing ``g`` with
-    ``g(lo) < 0``.  Returns (lo, g(lo), hi, g(hi))."""
-    g_lo = g(lo)
+    ``g(lo) < 0``.  Returns (lo, g(lo), hi, g(hi)); a caller that has
+    already evaluated ``g(lo)`` passes it as ``g_lo``."""
+    g_lo = g(lo) if g_lo is None else g_lo
     g_hi = g(hi)
     for _ in range(max_doublings):
         if g_hi >= 0.0:

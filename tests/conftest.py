@@ -8,7 +8,6 @@ from rankcontest import (
     RewardVector,
     solve,
 )
-from rankcontest.binom import pmf_matrix
 
 GOLDEN_COST = LinearCost(c0=0.25, slope=1.0)
 
@@ -53,8 +52,47 @@ def random_instance(rng, n_max=10):
     return random_rewards(rng, n, cost), cost
 
 
-# Oracles: the matrix route the Bernstein kernel replaced, kept as the
-# reference the faster routes must agree with.
+# Oracles: the matrix route the Bernstein kernel and the one-point
+# tail vector replaced, kept as the reference the library must agree with.
+
+
+def pmf_matrix(m, x):
+    """Masses P[i, j] = C(m, i) * x_j**i * (1-x_j)**(m-i) for i = 0..m,
+    shape (m+1, len(x)), each column walked from its heavier endpoint."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros((m + 1, x.size))
+    if m == 0:
+        out[0] = 1.0
+        return out
+    at_zero = x <= 0.0
+    at_one = x >= 1.0
+    out[0, at_zero] = 1.0
+    out[m, at_one] = 1.0
+    interior = ~(at_zero | at_one)
+    up = interior & (x <= 0.5)
+    if np.any(up):
+        xu = x[up]
+        ratio = xu / (1.0 - xu)
+        t = (1.0 - xu) ** m
+        out[0, up] = t
+        for i in range(m):
+            t = t * ((m - i) / (i + 1)) * ratio
+            out[i + 1, up] = t
+    down = interior & (x > 0.5)
+    if np.any(down):
+        xd = x[down]
+        ratio = (1.0 - xd) / xd
+        t = xd**m
+        out[m, down] = t
+        for i in range(m, 0, -1):
+            t = t * (i / (m - i + 1)) * ratio
+            out[i - 1, down] = t
+    return out
+
+
+def matrix_tails(m, x):
+    """T[k] = P(Binomial(m, x) >= k) from the oracle's mass column."""
+    return np.cumsum(pmf_matrix(m, x)[::-1, 0])[::-1]
 
 
 def matrix_benefit(x, rewards):

@@ -1,17 +1,19 @@
-"""Property tests of the Bernstein kernel and the benefit inversion
-against the matrix-route oracles in conftest.py."""
+"""Property tests of the Bernstein kernel, the one-point tail vector and
+the benefit inversion against the matrix-route oracles in conftest.py."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankcontest import RewardVector, benefit_slope, expected_benefit, solve
-from rankcontest.binom import bernstein, pmf_matrix
+from rankcontest.binom import bernstein, tail_vector
 from rankcontest.equilibrium import _invert_benefit
 from conftest import (
     bisect_benefit,
     matrix_benefit,
     matrix_slope,
+    matrix_tails,
+    pmf_matrix,
     random_cost,
     random_instance,
     random_rewards,
@@ -57,6 +59,14 @@ def test_bernstein_matches_mass_matrix(m, seed, drawn):
     both = bernstein(rows, x)
     assert both.shape == (2, x.size)
     assert np.max(np.abs(both - rows @ pmf_matrix(m, x))) <= rounding_bound(m, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(0, 999), drawn=st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_tail_vector_matches_mass_matrix_exactly(m, drawn):
+    # same factors multiplied in the same order as the oracle's walk
+    for x in np.concatenate((EDGE_POINTS, drawn)):
+        assert np.array_equal(tail_vector(m, float(x)), matrix_tails(m, x))
 
 
 @settings(max_examples=40, deadline=None)

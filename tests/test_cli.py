@@ -26,6 +26,9 @@ def run_cli(capsys, *argv):
 
 
 GOLDEN = ["--n", "2", "--rewards", "1,0", "--cost", "linear:c0=0.25,slope=1"]
+# knobs that changed no result and were removed; old records carrying
+# them still validate, but no flag or config key accepts them
+REMOVED_KNOBS = ("threads", "arg_tol")
 
 
 class TestSolve:
@@ -38,16 +41,16 @@ class TestSolve:
         assert record["output"]["residual_max"] <= 1e-8
         # echoed defaults make the run reproducible from the record alone
         echo = record["instance"]
-        assert echo["arg_tol"] == 1e-12
         assert echo["quad_panels"] == 64
         assert echo["rewards"] == [1.0, 0.0]
 
-    def test_threads_no_longer_echoed(self, capsys, schema):
+    @pytest.mark.parametrize("knob", REMOVED_KNOBS)
+    def test_removed_knob_not_echoed(self, capsys, schema, knob):
         code, record = run_cli(capsys, "solve", *GOLDEN)
         assert code == 0
-        assert "threads" not in record["instance"]
+        assert knob not in record["instance"]
         # records written while the key existed still validate
-        record["instance"]["threads"] = 1
+        record["instance"][knob] = 1
         jsonschema.validate(record, schema)
 
     def test_csv_grid(self, capsys, tmp_path):
@@ -125,8 +128,9 @@ class TestExitCodes:
             assert record is None
             assert "agent-trials" in run_cli.err
 
-    def test_threads_flag_removed(self, capsys):
-        code, _ = run_cli(capsys, "solve", *GOLDEN, "--threads", "2")
+    @pytest.mark.parametrize("knob", REMOVED_KNOBS)
+    def test_removed_knob_flag(self, capsys, knob):
+        code, _ = run_cli(capsys, "solve", *GOLDEN, "--" + knob.replace("_", "-"), "1")
         assert code == 1
 
     def test_verify_failure_exit(self, capsys, monkeypatch):
@@ -163,12 +167,13 @@ class TestConfigFile:
         code, _ = run_cli(capsys, "solve", "--config", str(config))
         assert code == 2
 
-    def test_threads_key_rejected(self, capsys, tmp_path):
+    @pytest.mark.parametrize("knob", REMOVED_KNOBS)
+    def test_removed_knob_key_rejected(self, capsys, tmp_path, knob):
         config = tmp_path / "instance.json"
-        config.write_text(json.dumps({"rewards": [1, 0], "threads": 1}))
+        config.write_text(json.dumps({"rewards": [1, 0], knob: 1}))
         code, _ = run_cli(capsys, "solve", "--config", str(config))
         assert code == 2
-        assert "unknown config keys: ['threads']" in run_cli.err
+        assert f"unknown config keys: ['{knob}']" in run_cli.err
 
     def test_def21_rejection_from_config(self, capsys, tmp_path):
         config = tmp_path / "instance.json"
@@ -246,8 +251,9 @@ class TestCommandOutputs:
         jsonschema.validate(record, schema)
         assert record["output"]["violations"] == 0
 
-    def test_verify_clean(self, capsys, schema):
-        code, record = run_cli(capsys, "verify", "--suite", "golden")
+    @pytest.mark.parametrize("suite", ["identities", "all"])
+    def test_verify_clean(self, capsys, schema, suite):
+        code, record = run_cli(capsys, "verify", "--suite", suite)
         assert code == 0
         jsonschema.validate(record, schema)
         assert record["output"]["failures"] == 0

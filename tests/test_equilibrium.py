@@ -197,6 +197,12 @@ class TestRegimes:
         with pytest.raises(DomainError):
             solve(RewardVector((1.0, -0.1)), free)
 
+    def test_arg_tol_removed(self, golden_interior):
+        # it steered nothing, so neither solve nor the solution takes it
+        with pytest.raises(TypeError):
+            solve(RewardVector((1.0, 0.0)), GOLDEN_COST, arg_tol=1e-12)
+        assert not hasattr(golden_interior, "arg_tol")
+
 
 class TestIndifference:
     def test_residual_zero_on_support(self):

@@ -26,7 +26,7 @@ from rankcontest import (
 )
 from rankcontest.equilibrium import EquilibriumSolution
 from rankcontest.quadrature import integrate
-from conftest import GOLDEN_COST, random_cost, random_instance, random_rewards
+from conftest import GOLDEN_COST, pmf_matrix, random_cost, random_instance, random_rewards
 
 
 class TestBinomialTail:
@@ -168,6 +168,22 @@ class TestRankProbabilities:
         assert rank_probability_at(golden_interior, 2, 0.25) == pytest.approx(
             0.5, abs=1e-10
         )
+
+    def test_matches_oracle_mass(self):
+        # the kernel's walk multiplies the same factors as the oracle's
+        # in another order, so masses agree to a few roundings per step
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            rewards, cost = random_instance(rng, n_max=200)
+            sol = solve(rewards, cost)
+            if sol.regime == "no_entry":
+                continue
+            q = np.linspace(0.0, sol.qbar, 17)
+            masses = pmf_matrix(sol.n - 1, sol.pressure(q))
+            for k in {1, 2, (sol.n + 1) // 2, sol.n}:
+                got = rank_probability_at(sol, k, q)
+                assert np.max(np.abs(got - masses[k - 1])) <= 8.0 * sol.n * np.finfo(float).eps
+                assert rank_probability_at(sol, k, float(q[5])) == got[5]
 
     def test_rank_out_of_range(self, golden_interior):
         with pytest.raises(DomainError):
