@@ -7,7 +7,7 @@ The package is organized bottom-up:
 * :mod:`rankcontest.mechanism` — prize schedules and named constructors
 * :mod:`rankcontest.equilibrium` — the symmetric mixed equilibrium (p, G)
 * :mod:`rankcontest.metrics` — payout, quality and rank statistics
-* :mod:`rankcontest.design` — comparative statics and design experiments
+* :mod:`rankcontest.design` — budget matching and design experiments
 * :mod:`rankcontest.montecarlo` — agent-level simulation cross-checks
 * :mod:`rankcontest.cli` — the ``rankcontest`` command
 """
@@ -38,6 +38,7 @@ from .design import (
     rescale_to_budget,
     reward_sensitivity,
     tax_sweep,
+    taxed_wta,
     wta_dominance_trial,
     wta_prize_for_budget,
 )
@@ -66,7 +67,6 @@ from .mechanism import (
     AttentionCaps,
     RewardVector,
     attention_schedule,
-    taxed_wta,
     validate,
     winner_take_all,
 )

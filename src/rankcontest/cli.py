@@ -28,6 +28,7 @@ from .design import (
     avg_sign_vs_budget,
     budget_matched_derivative,
     tax_sweep,
+    taxed_wta,
     wta_dominance_trial,
 )
 from .equilibrium import REGIME_NO_ENTRY, expected_benefit, solve
@@ -39,7 +40,7 @@ from .errors import (
     MechanismError,
     StateError,
 )
-from .mechanism import AttentionCaps, RewardVector, attention_schedule, taxed_wta, winner_take_all
+from .mechanism import AttentionCaps, RewardVector, attention_schedule, winner_take_all
 from .metrics import binomial_tail, contest_metrics, slope_bound_gap
 from .montecarlo import deviation_check, run as run_simulation
 from .quadrature import integrate
@@ -115,6 +116,8 @@ class InstanceSpec:
 
 _CONFIG_KEYS = set(InstanceSpec.__dataclass_fields__)
 _LIST_KEYS = {"rewards", "caps", "taxes", "budgets"}
+# smallest usable sizes; run_record.schema.json states the quadrature ones
+_LEAST = {"grid": 1, "levels": 2, "quad_panels": 1, "quad_nodes": 2}
 
 
 def _load_config(path: str) -> dict:
@@ -154,6 +157,11 @@ def parse_instance(args: argparse.Namespace) -> InstanceSpec:
         )
     if spec.tax is not None and spec.wta is None:
         raise UsageError("--tax requires the winner-take-all constructor (--wta)")
+    for key, least in _LEAST.items():
+        if not getattr(spec, key) >= least:
+            raise DomainError(f"{key} must be at least {least}, got {getattr(spec, key)}")
+    if not spec.quad_tol > 0.0:
+        raise DomainError(f"quad_tol must be positive, got {spec.quad_tol}")
     return spec
 
 

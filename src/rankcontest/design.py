@@ -11,8 +11,9 @@ sampling rather than assumed.
 The pivotal constraint is *budget matching*: when a lower prize a_s is
 changed, the top prize is re-solved so the expected total payout stays
 fixed, mirroring the question a designer with a fixed purse actually
-faces.  ``hold_budget`` performs that re-solve; the rest of the module
-builds sweeps and trials on top of it.
+faces.  ``hold_budget``, ``taxed_wta`` and ``wta_prize_for_budget``
+re-solve it through one payout gap; the rest of the module builds
+sweeps and trials on top of them.
 """
 
 import itertools
@@ -23,17 +24,22 @@ import numpy as np
 from .costs import CostModel, HAZARD_CONSTANT, HAZARD_NONINCREASING
 from .equilibrium import REGIME_NO_ENTRY, solve
 from .errors import ContestError, ConvergenceError, DomainError
-from .mechanism import AttentionCaps, RewardVector, attention_schedule, taxed_wta, winner_take_all
+from .mechanism import AttentionCaps, RewardVector, attention_schedule, winner_take_all
 from .metrics import (
     contest_metrics,
     expected_budget,
     expected_max_quality,
     rank_probability,
 )
-from .rootfind import bracketed_root, expand_bracket
+from .rootfind import bracketed_root
 
 _SENSITIVITY_GRID = 50
 _GAP_TINY = 1e-12
+_MAX_CANDIDATES = 4000  # largest lattice attention_certificate will search
+_TIE_TOL = 1e-7  # quality gap attention_certificate counts as a tie
+_BUDGET_TOL = 1e-8  # payout tolerance of hold_budget and taxed_wta
+_CROSSOVER_MAX_ITER = 60
+_NOISE_TOL = 1e-7  # lead over winner-take-all that counts as a violation
 
 
 def _default_step(rewards: RewardVector) -> float:
@@ -174,16 +180,15 @@ def attention_certificate(
     cost: CostModel,
     *,
     levels: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0),
-    max_candidates: int = 4000,
-    tol: float = 1e-7,
 ) -> AttentionCertificate:
-    """Certify :func:`optimal_attention` against a cap-fraction lattice."""
+    """Certify :func:`optimal_attention` against a cap-fraction lattice;
+    raises :class:`DomainError` if no lattice point is a valid schedule."""
     if not isinstance(caps, AttentionCaps):
         caps = AttentionCaps(tuple(caps))
-    if len(levels) ** caps.n > max_candidates:
+    if len(levels) ** caps.n > _MAX_CANDIDATES:
         raise DomainError(
             f"lattice of {len(levels) ** caps.n} candidates exceeds the "
-            f"{max_candidates} cap; reduce levels or ranks"
+            f"{_MAX_CANDIDATES} cap; reduce levels or ranks"
         )
     schedule = optimal_attention(caps, cost)
     sched = contest_metrics(solve(schedule, cost))
@@ -205,10 +210,12 @@ def attention_certificate(
         best_max = max(best_max, c_max)
         best_avg = max(best_avg, c_avg)
         if candidate.prizes != schedule.prizes:
-            if abs(c_max - sched_max) <= tol:
+            if abs(c_max - sched_max) <= _TIE_TOL:
                 max_ties += 1
-            if abs(c_avg - sched_avg) <= tol:
+            if abs(c_avg - sched_avg) <= _TIE_TOL:
                 avg_ties += 1
+    if count == 0:
+        raise DomainError("no lattice candidate is a valid schedule; use more levels")
     return AttentionCertificate(
         schedule=schedule,
         candidates=count,
@@ -216,8 +223,8 @@ def attention_certificate(
         eq_avg=sched_avg,
         best_candidate_max=float(best_max),
         best_candidate_avg=float(best_avg),
-        max_optimal=sched_max >= best_max - tol,
-        avg_optimal=sched_avg >= best_avg - tol,
+        max_optimal=sched_max >= best_max - _TIE_TOL,
+        avg_optimal=sched_avg >= best_avg - _TIE_TOL,
         max_ties=max_ties,
         avg_ties=avg_ties,
     )
@@ -227,23 +234,31 @@ def attention_certificate(
 # budget-matched perturbations
 
 
+def _payout_gap(tail: tuple[float, ...], cost: CostModel, target: float):
+    """g(a1) = expected payout of (a1,) + tail minus ``target``, one solve
+    per call.  The payout rises strictly with the top prize (directly, and
+    through the extra entry it attracts), so g suits :func:`bracketed_root`."""
+
+    def gap(a1: float) -> float:
+        return expected_budget(solve(RewardVector((a1,) + tail), cost)) - target
+
+    return gap
+
+
 def hold_budget(
-    rewards: RewardVector,
-    cost: CostModel,
-    rank: int,
-    new_value: float,
-    *,
-    budget_tol: float = 1e-8,
-    max_iter: int = 100,
+    rewards: RewardVector, cost: CostModel, rank: int, new_value: float
 ) -> RewardVector:
     """Re-price one lower rank and re-solve the top prize so the
-    expected payout is unchanged.
+    expected payout is unchanged, to within 1e-8.
 
-    The payout rises strictly with the top prize (directly, and through
-    the extra entry it attracts), so the re-solve is a bracketed secant
-    on a_1 with a full equilibrium solve per evaluation.  Identity
-    re-pricing returns the input unchanged.
+    Identity re-pricing returns the input unchanged.  Raises
+    :class:`DomainError` when the new schedule would overpay even with
+    its top prize just above the rank-2 prize.
     """
+    return _hold_budget(rewards, cost, rank, new_value, None)
+
+
+def _hold_budget(rewards, cost, rank, new_value, base_payout: float | None):
     n = rewards.n
     if not 2 <= rank <= n:
         raise DomainError("only ranks 2..n can be re-priced against the top prize")
@@ -262,31 +277,24 @@ def hold_budget(
             "monotonicity unreachable: the fixed rank below pays more than "
             "the requested value"
         )
-    target = expected_budget(solve(rewards, cost))
+    if base_payout is None:
+        base_payout = expected_budget(solve(rewards, cost))
     repriced = rewards.replace(rank, new_value)
-
-    def gap(a1: float) -> float:
-        return expected_budget(solve(repriced.replace(1, a1), cost)) - target
-
+    gap = _payout_gap(repriced.prizes[1:], cost, base_payout)
     floor = repriced.prizes[1]
     lo = floor + max(1e-12, 1e-12 * abs(floor))
     g_lo = gap(lo)
-    if g_lo > budget_tol:
+    if g_lo > _BUDGET_TOL:
         raise DomainError(
             "budget match infeasible: the top prize would have to fall to "
             "the rank-2 prize or below"
         )
-    if abs(g_lo) <= budget_tol:
-        a1 = lo
-    else:
-        hi = max(rewards.top, 2.0 * abs(lo), 1.0)
-        lo2, g_lo2, hi, g_hi = expand_bracket(gap, lo, hi, g_lo=g_lo)
-        try:
-            a1 = bracketed_root(
-                gap, lo2, hi, g_lo=g_lo2, g_hi=g_hi, ftol=budget_tol, max_iter=max_iter
-            )
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"budget match did not converge: {exc}") from exc
+    try:
+        a1 = bracketed_root(
+            gap, lo, max(rewards.top, 2.0 * abs(lo), 1.0), ftol=_BUDGET_TOL, g_lo=g_lo
+        )
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"budget match did not converge: {exc}") from exc
     result = repriced.replace(1, a1)
     if result.prizes[0] <= result.prizes[1]:
         raise DomainError("budget match pushed the top prize to rank 2 or below")
@@ -343,6 +351,7 @@ def budget_matched_derivative(
             "perturb from a strictly decreasing base schedule instead"
         )
     base_sol = solve(rewards, cost)
+    base_payout = expected_budget(base_sol)
     w1 = rank_probability(base_sol, 1)
     ws = rank_probability(base_sol, rank)
     bound = -ws / w1 if w1 > 0 else float("nan")
@@ -351,20 +360,23 @@ def budget_matched_derivative(
         report = contest_metrics(solve(vec, cost))
         return vec.top, report.eq_max, report.eq_avg
 
+    def matched(value: float) -> tuple[float, float, float]:
+        return objectives(_hold_budget(rewards, cost, rank, value, base_payout))
+
     if up_ok and down_ok:
         mode = "central"
-        a1_hi, max_hi, avg_hi = objectives(hold_budget(rewards, cost, rank, a[i] + step))
-        a1_lo, max_lo, avg_lo = objectives(hold_budget(rewards, cost, rank, a[i] - step))
+        a1_hi, max_hi, avg_hi = matched(a[i] + step)
+        a1_lo, max_lo, avg_lo = matched(a[i] - step)
         width = 2.0 * step
     elif up_ok:
         mode = "forward"
-        a1_hi, max_hi, avg_hi = objectives(hold_budget(rewards, cost, rank, a[i] + step))
+        a1_hi, max_hi, avg_hi = matched(a[i] + step)
         a1_lo, max_lo, avg_lo = objectives(rewards)
         width = step
     else:
         mode = "backward"
         a1_hi, max_hi, avg_hi = objectives(rewards)
-        a1_lo, max_lo, avg_lo = objectives(hold_budget(rewards, cost, rank, a[i] - step))
+        a1_lo, max_lo, avg_lo = matched(a[i] - step)
         width = step
     return PerturbationResult(
         rank=rank,
@@ -394,6 +406,43 @@ class TaxRow:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def taxed_wta(n: int, prize: float, tax: float, cost: CostModel) -> RewardVector:
+    """Winner-take-all with an entry tax, holding the expected payout.
+
+    Returns (a1*, -tax, ..., -tax) where a1* solves for the same
+    expected total payout as ``winner_take_all(n, prize)``.  The tax
+    collected from entrants funds a higher top prize; with tax == 0 the
+    plain winner-take-all vector is returned unchanged.
+    """
+    if tax < 0.0:
+        raise DomainError("tax must be nonnegative")
+    if not cost.has_entry_cost:
+        raise DomainError("taxing entry requires a positive entry cost c(0)")
+    base = winner_take_all(n, prize)
+    if tax == 0.0:
+        return base
+    if not prize > cost.entry_cost:
+        raise DomainError(
+            "the untaxed top prize must exceed c(0), otherwise nobody enters"
+        )
+    tail = (-float(tax),) * (n - 1)
+    gap = _payout_gap(tail, cost, expected_budget(solve(base, cost)))
+    lo = cost.entry_cost * (1.0 + 1e-12) + 1e-300
+    g_lo = gap(lo)
+    if g_lo > _BUDGET_TOL:
+        raise DomainError(
+            "no feasible taxed schedule: the required top prize would fall "
+            "to the entry cost, where participation vanishes"
+        )
+    try:
+        a1 = bracketed_root(gap, lo, max(prize, 2.0 * lo), ftol=_BUDGET_TOL, g_lo=g_lo)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"taxed winner-take-all budget match did not converge: {exc}"
+        ) from exc
+    return RewardVector((a1,) + tail)
 
 
 def tax_sweep(
@@ -453,18 +502,12 @@ def wta_prize_for_budget(n: int, budget: float, cost: CostModel) -> float:
     if not budget > 0.0:
         raise DomainError("budget must be positive")
     c0 = cost.entry_cost
-
-    def gap(prize: float) -> float:
-        return expected_budget(solve(winner_take_all(n, prize), cost)) - budget
-
+    gap = _payout_gap((0.0,) * (n - 1), cost, budget)
     lo = c0 + max(1e-9, 1e-9 * c0)
     g_lo = gap(lo)
     if g_lo >= 0.0:
         return lo
-    lo2, g_lo, hi, g_hi = expand_bracket(
-        gap, lo, max(2.0 * lo, budget + c0, 1.0), g_lo=g_lo
-    )
-    return bracketed_root(gap, lo2, hi, g_lo=g_lo, g_hi=g_hi, ftol=1e-10)
+    return bracketed_root(gap, lo, max(2.0 * lo, budget + c0, 1.0), ftol=1e-10, g_lo=g_lo)
 
 
 def rescale_to_budget(
@@ -484,9 +527,7 @@ def rescale_to_budget(
     def gap(m: float) -> float:
         return expected_budget(solve(rewards.as_array() * m, cost)) - budget
 
-    lo = 1e-12
-    lo2, g_lo, hi, g_hi = expand_bracket(gap, lo, 1.0)
-    m = bracketed_root(gap, lo2, hi, g_lo=g_lo, g_hi=g_hi, ftol=1e-10)
+    m = bracketed_root(gap, 1e-12, 1.0, ftol=1e-10)
     return RewardVector(tuple(rewards.as_array() * m))
 
 
@@ -569,7 +610,6 @@ def avg_sign_crossover(
     rank: int = 2,
     *,
     rel_tol: float = 1e-6,
-    max_iter: int = 60,
 ) -> float:
     """Budget where the average-quality response flips sign.
 
@@ -583,7 +623,7 @@ def avg_sign_crossover(
         raise DomainError(
             f"crossover not bracketed: d_eqavg({lo})={d_lo}, d_eqavg({hi})={d_hi}"
         )
-    for _ in range(max_iter):
+    for _ in range(_CROSSOVER_MAX_ITER):
         mid = 0.5 * (lo + hi)
         _, _, d_mid = _avg_derivative_at_wta(n, mid, cost, rank)
         if d_mid < 0.0:
@@ -637,8 +677,6 @@ def wta_dominance_trial(
     cost: CostModel,
     trials: int,
     seed: int,
-    *,
-    noise_tol: float = 1e-7,
 ) -> DominanceReport:
     """Sample random monotone nonnegative schedules at a common payout
     and compare their best-quality metric against winner-take-all.
@@ -668,7 +706,7 @@ def wta_dominance_trial(
             continue
         gap = wta_eq_max - eq_max
         worst = min(worst, gap)
-        if gap < -noise_tol:
+        if gap < -_NOISE_TOL:
             violations += 1
     return DominanceReport(
         n=n,

@@ -8,17 +8,16 @@ nonnegative is flagged as such because several optimality results only
 cover that class.
 
 Besides validation this module builds the named schedules used in the
-design experiments: winner-take-all, attention-capped schedules, and
-the budget-matched taxed variant of winner-take-all.
+design experiments: winner-take-all and attention-capped schedules.
+The budget-matched taxed variant of winner-take-all needs equilibrium
+solves to build, so it lives in :mod:`rankcontest.design`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostModel
-from .errors import ConvergenceError, DomainError, MechanismError
-from .rootfind import bracketed_root, expand_bracket
+from .errors import DomainError, MechanismError
 
 MAX_AGENTS = 1000
 
@@ -138,49 +137,3 @@ def attention_schedule(caps, entry_cost: float) -> RewardVector:
     values = list(caps.caps)
     values[-1] = min(values[-1], float(entry_cost))
     return RewardVector(tuple(values))
-
-
-def taxed_wta(n: int, prize: float, tax: float, cost: CostModel) -> RewardVector:
-    """Winner-take-all with an entry tax, holding the expected payout.
-
-    Returns (a1*, -tax, ..., -tax) where a1* solves for the same
-    expected total payout as ``winner_take_all(n, prize)``.  The tax
-    collected from entrants funds a higher top prize; with tax == 0 the
-    plain winner-take-all vector is returned unchanged.
-    """
-    if tax < 0.0:
-        raise DomainError("tax must be nonnegative")
-    if not cost.has_entry_cost:
-        raise DomainError("taxing entry requires a positive entry cost c(0)")
-    base = winner_take_all(n, prize)
-    if tax == 0.0:
-        return base
-    if not prize > cost.entry_cost:
-        raise DomainError(
-            "the untaxed top prize must exceed c(0), otherwise nobody enters"
-        )
-
-    from .equilibrium import solve
-    from .metrics import expected_budget
-
-    target = expected_budget(solve(base, cost))
-
-    def gap(a1: float) -> float:
-        vec = RewardVector((a1,) + (-float(tax),) * (n - 1))
-        return expected_budget(solve(vec, cost)) - target
-
-    lo = cost.entry_cost * (1.0 + 1e-12) + 1e-300
-    g_lo = gap(lo)
-    if g_lo > 1e-8:
-        raise DomainError(
-            "no feasible taxed schedule: the required top prize would fall "
-            "to the entry cost, where participation vanishes"
-        )
-    lo2, g_lo, hi, g_hi = expand_bracket(gap, lo, max(prize, 2.0 * lo), g_lo=g_lo)
-    try:
-        a1 = bracketed_root(gap, lo2, hi, g_lo=g_lo, g_hi=g_hi, ftol=1e-8)
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"taxed winner-take-all budget match did not converge: {exc}"
-        ) from exc
-    return RewardVector((a1,) + (-float(tax),) * (n - 1))

@@ -12,6 +12,7 @@ import numpy as np
 from .errors import QuadratureError
 
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_MAX_DOUBLINGS = 6
 
 
 def _gauss_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -44,7 +45,6 @@ def integrate(
     panels: int = 64,
     nodes: int = 8,
     tol: float = 1e-9,
-    max_doublings: int = 6,
 ):
     """Integrate a vectorized ``f`` over [a, b].
 
@@ -69,7 +69,7 @@ def integrate(
     value = previous
     estimate = np.abs(previous)
     done = np.zeros(previous.shape, dtype=bool)
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         panels *= 2
         current = _composite(f, a, b, panels, nodes)
         step = np.abs(current - previous)

@@ -29,6 +29,18 @@ GOLDEN = ["--n", "2", "--rewards", "1,0", "--cost", "linear:c0=0.25,slope=1"]
 # knobs that changed no result and were removed; old records carrying
 # them still validate, but no flag or config key accepts them
 REMOVED_KNOBS = ("threads", "arg_tol")
+# (command, setting, value) outside the range any run can use
+OUT_OF_RANGE = [
+    ("solve", "grid", 0),
+    ("deviate", "grid", -3),
+    ("metrics", "quad_panels", 0),
+    ("metrics", "quad_nodes", 0),
+    ("metrics", "quad_nodes", 1),
+    ("metrics", "quad_tol", -1.0),
+    ("metrics", "quad_tol", 0.0),
+    ("design-attention", "levels", -1),
+    ("design-attention", "levels", 1),
+]
 
 
 class TestSolve:
@@ -132,6 +144,26 @@ class TestExitCodes:
     def test_removed_knob_flag(self, capsys, knob):
         code, _ = run_cli(capsys, "solve", *GOLDEN, "--" + knob.replace("_", "-"), "1")
         assert code == 1
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, key, value", OUT_OF_RANGE)
+    def test_out_of_range_setting_validation(
+        self, capsys, tmp_path, source, command, key, value
+    ):
+        if command == "design-attention":
+            argv = [command, "--caps", "1,0.5", "--cost", "linear:c0=0.25,slope=1"]
+        else:
+            argv = [command, *GOLDEN]
+        if source == "flag":
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        else:
+            config = tmp_path / "instance.json"
+            config.write_text(json.dumps({key: value}))
+            argv += ["--config", str(config)]
+        code, record = run_cli(capsys, *argv)
+        assert code == 2
+        assert record is None
+        assert key in run_cli.err
 
     def test_verify_failure_exit(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_golden_checks", lambda: [("forced", False)])

@@ -11,6 +11,7 @@ from rankcontest import (
     attention_certificate,
     avg_sign_vs_budget,
     budget_matched_derivative,
+    design,
     expected_avg_quality,
     expected_budget,
     expected_max_quality,
@@ -108,6 +109,11 @@ class TestOptimalAttention:
         with pytest.raises(DomainError):
             attention_certificate(caps, COST)
 
+    def test_empty_lattice_rejected(self):
+        # every rank at zero is the only candidate, and it is all-equal
+        with pytest.raises(DomainError, match="no lattice candidate"):
+            attention_certificate(AttentionCaps((1.0, 0.5)), COST, levels=(0.0,))
+
 
 class TestHoldBudget:
     def test_identity_fixed_point(self):
@@ -181,6 +187,20 @@ class TestBudgetMatchedDerivative:
         base = RewardVector((1.0, 0.4, 0.15))
         result = budget_matched_derivative(base, COST, 2)
         assert result.mode == "central"
+
+    def test_central_solves_base_once(self, monkeypatch):
+        solved = []
+
+        def counting_solve(rewards, cost):
+            solved.append(rewards.prizes)
+            return solve(rewards, cost)
+
+        monkeypatch.setattr(design, "solve", counting_solve)
+        base = RewardVector((1.0, 0.6, 0.3, 0.0))
+        result = budget_matched_derivative(base, COST, 3)
+        assert result.mode == "central"
+        assert solved.count(base.prizes) == 1
+        assert len(solved) == 15
 
     def test_quality_losses_at_wta_linear(self):
         base = winner_take_all(3, 1.0)

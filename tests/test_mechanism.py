@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from rankcontest import (
     RewardVector,
     attention_schedule,
     expected_budget,
+    mechanism,
     solve,
     taxed_wta,
     validate,
@@ -138,3 +141,14 @@ class TestTaxedWta:
     def test_negative_tax_rejected(self):
         with pytest.raises(DomainError):
             taxed_wta(3, 1.0, -0.01, COST)
+
+
+def test_imports_nothing_from_the_package_but_errors():
+    # schedules are plain data: building one never reaches the solver
+    imported = set()
+    for node in ast.walk(ast.parse(Path(mechanism.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported == {"dataclasses", "numpy", ".errors"}
