@@ -14,9 +14,12 @@ non-convergence, 4 verification failure.
 import argparse
 import csv as csv_module
 import json
+import operator
 import sys
 import time
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, fields
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from .errors import (
     StateError,
 )
 from .mechanism import AttentionCaps, RewardVector, attention_schedule, winner_take_all
+from .metrics import QUAD_NODES, QUAD_PANELS, QUAD_TOL
 from .metrics import binomial_tail, contest_metrics, slope_bound_gap
 from .montecarlo import deviation_check, run as run_simulation
 from .quadrature import integrate
@@ -50,19 +54,6 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
-
-COMMANDS = (
-    "solve",
-    "metrics",
-    "simulate",
-    "deviate",
-    "design-attention",
-    "perturb",
-    "tax-sweep",
-    "avg-sign-sweep",
-    "wta-trial",
-    "verify",
-)
 
 
 class UsageError(Exception):
@@ -76,37 +67,39 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(piece) for piece in text.split(",") if piece.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"could not parse number list {text!r}: {exc}") from None
+def _setting(default, help: str, bound: tuple[str, object] | None = None):
+    """Declare one setting, flag ``--name`` and config key ``name``, typed
+    by its field's annotation; ``bound`` is (a ``_RELATIONS`` key, limit).
+    ``COMMANDS`` names the subcommands that read it."""
+    return field(default=default, metadata={"help": help, "bound": bound})
 
 
 @dataclass
 class InstanceSpec:
     """Fully-resolved run configuration; the JSON echo of every record."""
 
-    n: int | None = None
-    rewards: list[float] | None = None
-    wta: float | None = None
-    tax: float | None = None
-    caps: list[float] | None = None
-    cost: str | None = None
-    seed: int = 0
-    quad_panels: int = 64
-    quad_nodes: int = 8
-    quad_tol: float = 1e-9
-    trials: int = 100000
-    rank: int = 2
-    delta: float | None = None
-    taxes: list[float] | None = None
-    budgets: list[float] | None = None
-    budget: float | None = None
-    grid: int = 129
-    margin: float = 0.25
-    levels: int = 5
-    suite: str = "all"
+    n: int | None = _setting(None, "number of ranks")
+    rewards: list[float] | None = _setting(None, "explicit prizes, e.g. 1,0,0")
+    wta: float | None = _setting(None, "winner-take-all top prize (needs --n)")
+    tax: float | None = _setting(None, "entry tax (with --wta)")
+    caps: list[float] | None = _setting(None, "attention caps, e.g. 1,0.5,0.4")
+    cost: str | None = _setting(None, "cost spec, e.g. linear:c0=0.25,slope=1")
+    seed: int = _setting(0, "simulation seed", ("at least", 0))
+    quad_panels: int = _setting(QUAD_PANELS, "initial quadrature panels", ("at least", 1))
+    quad_nodes: int = _setting(QUAD_NODES, "Gauss-Legendre nodes per panel", ("at least", 2))
+    quad_tol: float = _setting(QUAD_TOL, "quadrature refinement target", ("above", 0))
+    trials: int = _setting(100000, "simulated contests", ("at least", 1))
+    rank: int = _setting(2, "rank whose prize is perturbed")
+    delta: float | None = _setting(None, "perturbation step (default 1e-4 * a1)")
+    taxes: list[float] | None = _setting(None, "entry taxes (default 0,0.01,0.02)")
+    budgets: list[float] | None = _setting(None, "budgets to sweep, e.g. 1,2,4")
+    budget: float | None = _setting(None, "budget every trial schedule pays")
+    grid: int = _setting(129, "evaluation grid size", ("at least", 1))
+    margin: float = _setting(0.25, "grid extension past qbar")
+    levels: int = _setting(5, "lattice levels per rank", ("at least", 2))
+    suite: str = _setting(
+        "all", "identities, golden or all", ("one of", ("identities", "golden", "all"))
+    )
 
     def echo(self) -> dict:
         record = asdict(self)
@@ -114,40 +107,69 @@ class InstanceSpec:
         return record
 
 
-_CONFIG_KEYS = set(InstanceSpec.__dataclass_fields__)
-_LIST_KEYS = {"rewards", "caps", "taxes", "budgets"}
-# smallest usable sizes; run_record.schema.json states the quadrature ones
-_LEAST = {"grid": 1, "levels": 2, "quad_panels": 1, "quad_nodes": 2}
+SETTINGS = {f.name: f for f in fields(InstanceSpec)}
+_RELATIONS = {"at least": operator.ge, "above": operator.gt, "one of": lambda v, of: v in of}
+_TYPE_NAMES = {int: "an integer", float: "a number", list: "a list of numbers", str: "a string"}
 
 
-def _load_config(path: str) -> dict:
+def _typed(kind: type, raw, text: bool):
+    if isinstance(raw, str) and kind is not str and (text or kind is list):
+        if kind is list:
+            return [float(piece) for piece in raw.split(",") if piece.strip()]
+        return kind(raw)
+    if kind is list and type(raw) is list and all(type(x) in (int, float) for x in raw):
+        return [float(item) for item in raw]
+    if kind is float and type(raw) in (int, float):
+        return float(raw)
+    if kind in (int, str) and type(raw) is kind:
+        return raw
+    raise ValueError
+
+
+def _convert(name: str, raw, text: bool = False):
+    """Type- and bound-check one flag's text (``text``) or config value.
+
+    Flag text is parsed; a config value must already have the setting's
+    type, except that a list may also be a comma string.
+    """
+    annotation = SETTINGS[name].type  # e.g. int | None or list[float] | None
+    kind = next(t for t in get_args(annotation) or (annotation,) if t is not type(None))
+    kind = get_origin(kind) or kind
+    try:
+        value = _typed(kind, raw, text)
+    except (ValueError, OverflowError):
+        raise DomainError(f"{name} must be {_TYPE_NAMES[kind]}, got {raw!r}") from None
+    bound = SETTINGS[name].metadata["bound"]
+    if bound is not None and not _RELATIONS[bound[0]](value, bound[1]):
+        raise DomainError(f"{name} must be {bound[0]} {bound[1]}, got {value}")
+    return value
+
+
+def _load_config(path: str, command: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal too long to convert
         raise DomainError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise DomainError("config file must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    reads = COMMANDS[command].reads
+    unknown = set(data) - set(reads)
     if unknown:
-        raise DomainError(f"unknown config keys: {sorted(unknown)}")
-    return data
+        raise DomainError(f"unknown config keys: {sorted(unknown)}; {command} reads {reads}")
+    return {key: _convert(key, value) for key, value in data.items()}
 
 
 def parse_instance(args: argparse.Namespace) -> InstanceSpec:
     """Merge config-file values and flags (flags win) into one spec."""
-    spec = InstanceSpec()
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    for key, value in config.items():
-        if key in _LIST_KEYS and isinstance(value, str):
-            value = _float_list(value)
-        setattr(spec, key, value)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(spec, key, value)
+    command = COMMANDS[args.command]
+    values = _load_config(args.config, args.command) if args.config else {}
+    for name in command.reads:
+        if getattr(args, name) is not None:
+            values[name] = _convert(name, getattr(args, name), text=True)
+    spec = InstanceSpec(**values)
     constructors = [
         name for name in ("rewards", "wta", "caps") if getattr(spec, name) is not None
     ]
@@ -157,29 +179,17 @@ def parse_instance(args: argparse.Namespace) -> InstanceSpec:
         )
     if spec.tax is not None and spec.wta is None:
         raise UsageError("--tax requires the winner-take-all constructor (--wta)")
-    for key, least in _LEAST.items():
-        if not getattr(spec, key) >= least:
-            raise DomainError(f"{key} must be at least {least}, got {getattr(spec, key)}")
-    if not spec.quad_tol > 0.0:
-        raise DomainError(f"quad_tol must be positive, got {spec.quad_tol}")
+    missing = [_flag(name) for name in command.requires if getattr(spec, name) is None]
+    if missing:
+        raise UsageError(f"{args.command} needs {' and '.join(missing)}")
     return spec
-
-
-def _require_cost(spec: InstanceSpec) -> CostModel:
-    if spec.cost is None:
-        raise UsageError("a cost spec is required (--cost)")
-    return parse_cost(spec.cost)
 
 
 def build_contest(spec: InstanceSpec) -> tuple[RewardVector, CostModel]:
     """Realize the (rewards, cost) pair an instance describes."""
-    cost = _require_cost(spec)
+    cost = parse_cost(spec.cost)
     if spec.rewards is not None:
         rewards = RewardVector(tuple(spec.rewards))
-        if spec.n is not None and spec.n != rewards.n:
-            raise DomainError(
-                f"--n {spec.n} disagrees with {rewards.n} explicit rewards"
-            )
     elif spec.wta is not None:
         if spec.n is None:
             raise UsageError("--wta needs --n for the number of ranks")
@@ -188,12 +198,11 @@ def build_contest(spec: InstanceSpec) -> tuple[RewardVector, CostModel]:
         else:
             rewards = winner_take_all(spec.n, spec.wta)
     elif spec.caps is not None:
-        caps = AttentionCaps(tuple(spec.caps))
-        if spec.n is not None and spec.n != caps.n:
-            raise DomainError(f"--n {spec.n} disagrees with {caps.n} caps")
-        rewards = attention_schedule(caps, cost.entry_cost)
+        rewards = attention_schedule(AttentionCaps(tuple(spec.caps)), cost.entry_cost)
     else:
         raise UsageError("give one reward constructor: --rewards, --wta, or --caps")
+    if spec.n is not None and spec.n != rewards.n:
+        raise DomainError(f"--n {spec.n} disagrees with the {rewards.n} ranks given")
     spec.n = rewards.n
     spec.rewards = list(rewards.prizes)
     return rewards, cost
@@ -268,9 +277,7 @@ def _cmd_deviate(spec: InstanceSpec):
 
 
 def _cmd_design_attention(spec: InstanceSpec):
-    cost = _require_cost(spec)
-    if spec.caps is None:
-        raise UsageError("design-attention needs --caps")
+    cost = parse_cost(spec.cost)
     caps = AttentionCaps(tuple(spec.caps))
     levels = tuple(np.linspace(0.0, 1.0, spec.levels))
     certificate = attention_certificate(caps, cost, levels=levels)
@@ -296,9 +303,7 @@ def _cmd_perturb(spec: InstanceSpec):
 
 
 def _cmd_tax_sweep(spec: InstanceSpec):
-    cost = _require_cost(spec)
-    if spec.wta is None or spec.n is None:
-        raise UsageError("tax-sweep needs --n and --wta")
+    cost = parse_cost(spec.cost)
     taxes = spec.taxes if spec.taxes is not None else [0.0, 0.01, 0.02]
     spec.taxes = list(taxes)
     rows_data = tax_sweep(spec.n, spec.wta, cost, taxes)
@@ -312,9 +317,7 @@ def _cmd_tax_sweep(spec: InstanceSpec):
 
 
 def _cmd_avg_sign_sweep(spec: InstanceSpec):
-    cost = _require_cost(spec)
-    if spec.budgets is None or spec.n is None:
-        raise UsageError("avg-sign-sweep needs --n and --budgets")
+    cost = parse_cost(spec.cost)
     rows_data = avg_sign_vs_budget(spec.n, cost, spec.budgets, spec.rank)
     signs = [row.sign for row in rows_data if row.ok]
     flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -327,12 +330,8 @@ def _cmd_avg_sign_sweep(spec: InstanceSpec):
 
 
 def _cmd_wta_trial(spec: InstanceSpec):
-    cost = _require_cost(spec)
-    if spec.budget is None or spec.n is None:
-        raise UsageError("wta-trial needs --n and --budget")
-    report = wta_dominance_trial(
-        spec.n, spec.budget, cost, spec.trials, spec.seed
-    )
+    cost = parse_cost(spec.cost)
+    report = wta_dominance_trial(spec.n, spec.budget, cost, spec.trials, spec.seed)
     output = report.to_dict()
     header = ["n", "budget", "trials", "skipped", "violations", "worst_gap"]
     rows = [[report.n, report.budget, report.trials, report.skipped,
@@ -400,12 +399,7 @@ def _identity_checks():
 
 def _cmd_verify(spec: InstanceSpec):
     suites = {"identities": _identity_checks, "golden": _golden_checks}
-    if spec.suite == "all":
-        names = list(suites)
-    elif spec.suite in suites:
-        names = [spec.suite]
-    else:
-        raise UsageError(f"unknown suite {spec.suite!r}; use {list(suites) + ['all']}")
+    names = list(suites) if spec.suite == "all" else [spec.suite]
     checks = []
     for name in names:
         checks.extend((f"{name}: {label}", ok) for label, ok in suites[name]())
@@ -422,58 +416,61 @@ def _cmd_verify(spec: InstanceSpec):
     return output, header, rows
 
 
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "metrics": _cmd_metrics,
-    "simulate": _cmd_simulate,
-    "deviate": _cmd_deviate,
-    "design-attention": _cmd_design_attention,
-    "perturb": _cmd_perturb,
-    "tax-sweep": _cmd_tax_sweep,
-    "avg-sign-sweep": _cmd_avg_sign_sweep,
-    "wta-trial": _cmd_wta_trial,
-    "verify": _cmd_verify,
+@dataclass(frozen=True)
+class Command:
+    """A subcommand's body, the settings it reads (its only flags and
+    config keys besides --config and --csv) and those it cannot lack."""
+
+    handler: Callable
+    reads: tuple[str, ...]
+    requires: tuple[str, ...] = ("cost",)
+
+
+_CONTEST = ("n", "rewards", "wta", "tax", "caps", "cost")
+_SIMULATION = ("trials", "seed")
+COMMANDS = {
+    "solve": Command(_cmd_solve, (*_CONTEST, "grid")),
+    "metrics": Command(_cmd_metrics, (*_CONTEST, "quad_panels", "quad_nodes", "quad_tol")),
+    "simulate": Command(_cmd_simulate, (*_CONTEST, *_SIMULATION)),
+    "deviate": Command(_cmd_deviate, (*_CONTEST, *_SIMULATION, "grid", "margin")),
+    "design-attention": Command(
+        _cmd_design_attention, ("caps", "cost", "levels"), ("caps", "cost")
+    ),
+    "perturb": Command(_cmd_perturb, (*_CONTEST, "rank", "delta")),
+    "tax-sweep": Command(_cmd_tax_sweep, ("n", "wta", "cost", "taxes"), ("n", "wta", "cost")),
+    "avg-sign-sweep": Command(
+        _cmd_avg_sign_sweep, ("n", "cost", "budgets", "rank"), ("n", "cost", "budgets")
+    ),
+    "wta-trial": Command(
+        _cmd_wta_trial, ("n", "cost", "budget", *_SIMULATION), ("n", "cost", "budget")
+    ),
+    "verify": Command(_cmd_verify, ("suite",), ()),
 }
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rankcontest", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--n", type=int)
-    common.add_argument("--rewards", type=_float_list, help="comma list, e.g. 1,0,0")
-    common.add_argument("--wta", type=float, help="winner-take-all top prize")
-    common.add_argument("--tax", type=float, help="entry tax (with --wta)")
-    common.add_argument("--caps", type=_float_list, help="attention caps, e.g. 1,0.5,0.4")
-    common.add_argument("--cost", help="cost spec, e.g. linear:c0=0.25,slope=1")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--quad-panels", dest="quad_panels", type=int)
-    common.add_argument("--quad-nodes", dest="quad_nodes", type=int)
-    common.add_argument("--quad-tol", dest="quad_tol", type=float)
-    common.add_argument("--trials", type=int)
-    common.add_argument("--csv", help="also write the tabular output to this path")
-    for name in COMMANDS:
-        cmd = sub.add_parser(name, parents=[common])
-        if name in ("solve", "deviate"):
-            cmd.add_argument("--grid", type=int, help="evaluation grid size")
-        if name == "deviate":
-            cmd.add_argument("--margin", type=float, help="grid extension past qbar")
-        if name in ("perturb", "avg-sign-sweep"):
-            cmd.add_argument("--rank", type=int)
-        if name == "perturb":
-            cmd.add_argument("--delta", type=float)
-        if name == "tax-sweep":
-            cmd.add_argument("--taxes", type=_float_list)
-        if name == "avg-sign-sweep":
-            cmd.add_argument("--budgets", type=_float_list)
-        if name == "wta-trial":
-            cmd.add_argument("--budget", type=float)
-        if name == "design-attention":
-            cmd.add_argument("--levels", type=int, help="lattice levels per rank")
-        if name == "verify":
-            cmd.add_argument("--suite", choices=["identities", "golden", "all"])
+    # each flag is built once and shared by the subcommands that read it,
+    # the way argparse's ``parents=`` shares a parent's actions; values
+    # stay text until parse_instance checks them
+    pool = _Parser(add_help=False)
+    config = pool.add_argument("--config", help="JSON config file; flags override its values")
+    csv = pool.add_argument("--csv", help="also write the tabular output to this path")
+    flags = {
+        name: pool.add_argument(_flag(name), dest=name, help=f.metadata["help"])
+        for name, f in SETTINGS.items()
+    }
+    for name, command in COMMANDS.items():
+        # no abbreviations: an unread flag such as --tax must not pass as --taxes
+        cmd = sub.add_parser(name, allow_abbrev=False)
+        for action in (config, *(flags[key] for key in command.reads), csv):
+            cmd._add_action(action)
     return parser
 
 
@@ -490,7 +487,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         spec = parse_instance(args)
         started = time.perf_counter()
-        output, header, rows = _HANDLERS[args.command](spec)
+        output, header, rows = COMMANDS[args.command].handler(spec)
         elapsed = time.perf_counter() - started
         record = {
             "command": args.command,
@@ -500,7 +497,7 @@ def main(argv=None) -> int:
             "wall_time_s": elapsed,
         }
         print(json.dumps(record, indent=2, sort_keys=True))
-        if getattr(args, "csv", None):
+        if args.csv:
             _write_csv(args.csv, header, rows)
         if args.command == "verify" and output["failures"]:
             return EXIT_VERIFY

@@ -42,6 +42,12 @@ from .equilibrium import (
 from .errors import DomainError
 from .quadrature import integrate
 
+# the quadrature rule: contest_metrics's defaults, and what the
+# single-integral helpers always use
+QUAD_PANELS = 64
+QUAD_NODES = 8
+QUAD_TOL = 1e-9
+
 
 def binomial_tail(n: int, k: int, p: float) -> float:
     """P(Binomial(n, p) >= k) = sum_{j=k}^n C(n, j) p**j (1-p)**(n-j).
@@ -90,14 +96,7 @@ def _support_endpoint_singular(sol: EquilibriumSolution) -> bool:
     return sol.p == 1.0 and prizes[-2] == prizes[-1]
 
 
-def expected_max_quality(
-    sol: EquilibriumSolution,
-    *,
-    method: str = "grid",
-    panels: int = 64,
-    nodes: int = 8,
-    tol: float = 1e-9,
-) -> float:
+def expected_max_quality(sol: EquilibriumSolution, *, method: str = "grid") -> float:
     """Expected best quality, counting an empty contest as 0.
 
     The best of the n independent (enter, draw quality) plays exceeds q
@@ -108,25 +107,20 @@ def expected_max_quality(
     inverse but no per-node root finding; the two routes agree to
     quadrature tolerance and serve as mutual checks.
     """
-    values, _ = _quality_integral(sol, ("max",), method, panels, nodes, tol)
+    values, _ = _quality_integral(sol, ("max",), method)
     return float(values[0])
 
 
-def expected_avg_quality(
-    sol: EquilibriumSolution,
-    *,
-    method: str = "grid",
-    panels: int = 64,
-    nodes: int = 8,
-    tol: float = 1e-9,
-) -> float:
+def expected_avg_quality(sol: EquilibriumSolution, *, method: str = "grid") -> float:
     """Expected quality of one agent (0 when she stays out): the integral
     of the pressure x(q) over the support.  Total quality is n times this."""
-    values, _ = _quality_integral(sol, ("avg",), method, panels, nodes, tol)
+    values, _ = _quality_integral(sol, ("avg",), method)
     return float(values[0])
 
 
-def _quality_integral(sol, which, method, panels, nodes, tol):
+def _quality_integral(
+    sol, which, method, panels=QUAD_PANELS, nodes=QUAD_NODES, tol=QUAD_TOL
+):
     """Integrate the rows named in ``which`` ("max", "avg") in one pass.
 
     Returns per-row arrays (values, error estimates).  Every node's
@@ -225,9 +219,9 @@ class ContestMetrics:
 def contest_metrics(
     sol: EquilibriumSolution,
     *,
-    panels: int = 64,
-    nodes: int = 8,
-    tol: float = 1e-9,
+    panels: int = QUAD_PANELS,
+    nodes: int = QUAD_NODES,
+    tol: float = QUAD_TOL,
 ) -> ContestMetrics:
     """Budget, expected best/average/total quality and rank odds.
 

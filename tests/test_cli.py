@@ -1,5 +1,6 @@
+import argparse
 import json
-import sys
+import shlex
 from importlib import resources
 from pathlib import Path
 
@@ -25,7 +26,18 @@ def run_cli(capsys, *argv):
     return code, record
 
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ["--n", "2", "--rewards", "1,0", "--cost", "linear:c0=0.25,slope=1"]
+WTA3 = ["--n", "3", "--wta", "1", "--cost", "linear:c0=0.25,slope=1"]
+# a runnable instance per command, to which a test adds one setting
+BASE = {
+    "design-attention": ["--caps", "1,0.5", "--cost", "linear:c0=0.25,slope=1"],
+    "perturb": WTA3,
+    "tax-sweep": WTA3,
+    "wta-trial": ["--n", "3", "--budget", "0.875", "--trials", "10",
+                  "--cost", "linear:c0=0.25,slope=1"],
+    "verify": [],
+}
 # knobs that changed no result and were removed; old records carrying
 # them still validate, but no flag or config key accepts them
 REMOVED_KNOBS = ("threads", "arg_tol")
@@ -40,7 +52,85 @@ OUT_OF_RANGE = [
     ("metrics", "quad_tol", 0.0),
     ("design-attention", "levels", -1),
     ("design-attention", "levels", 1),
+    ("simulate", "seed", -1),
+    ("wta-trial", "seed", -4),
+    ("simulate", "trials", 0),
+    ("deviate", "trials", -2),
+    ("verify", "suite", "bogus"),
 ]
+# (command, key, config value) of the wrong JSON type
+WRONG_TYPE = [
+    ("solve", "grid", "5"),
+    ("simulate", "seed", "7"),
+    ("simulate", "seed", 1.5),
+    ("simulate", "seed", True),
+    ("simulate", "trials", 2.5),
+    ("metrics", "quad_panels", 64.0),
+    ("metrics", "quad_tol", None),
+    ("metrics", "quad_tol", "1e-9"),
+    ("solve", "n", False),
+    ("solve", "rewards", [1, "a"]),
+    ("solve", "rewards", [1, None]),
+    ("design-attention", "caps", {"a": 1}),
+    ("solve", "cost", 3),
+    ("perturb", "delta", "small"),
+    ("wta-trial", "budget", [1]),
+    ("verify", "suite", ["all"]),
+]
+# (command, flag value) that is not text of the setting's type
+BAD_TEXT = [
+    ("simulate", "seed", "abc"),
+    ("simulate", "trials", "1e5"),
+    ("solve", "rewards", "1,a"),
+    ("metrics", "quad_tol", "tiny"),
+]
+# (command, key, value) of settings the command does not read; each was
+# accepted and echoed, and changed nothing, while every command took
+# every shared setting
+UNREAD = [
+    ("solve", "seed", 3),
+    ("solve", "trials", 5),
+    ("solve", "quad_tol", 1e-3),
+    ("perturb", "quad_tol", 1e-2),
+    ("tax-sweep", "tax", 0.5),
+    ("design-attention", "n", 7),
+    ("verify", "cost", "nonsense"),
+    ("verify", "trials", 0),
+]
+
+
+def with_setting(tmp_path, source, command, key, value):
+    """argv running ``command`` on its base instance plus one setting,
+    given as a flag or in a config file."""
+    argv = [command, *BASE.get(command, GOLDEN)]
+    if source == "flag":
+        return argv + ["--" + key.replace("_", "-"), str(value)]
+    config = tmp_path / "instance.json"
+    config.write_text(json.dumps({key: value}))
+    return argv + ["--config", str(config)]
+
+
+def readme_examples():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("rankcontest ")
+    ]
+
+
+def settings_table():
+    """{key: [default, bound, read by, meaning]} from the settings table
+    in docs/instance-format.md."""
+    text = (ROOT / "docs" / "instance-format.md").read_text()
+    section = text.split("## Settings, defaults and bounds", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            rows[cells[0].strip("`")] = cells[1:]
+    return rows
 
 
 class TestSolve:
@@ -150,20 +240,39 @@ class TestExitCodes:
     def test_out_of_range_setting_validation(
         self, capsys, tmp_path, source, command, key, value
     ):
-        if command == "design-attention":
-            argv = [command, "--caps", "1,0.5", "--cost", "linear:c0=0.25,slope=1"]
-        else:
-            argv = [command, *GOLDEN]
-        if source == "flag":
-            argv += ["--" + key.replace("_", "-"), str(value)]
-        else:
-            config = tmp_path / "instance.json"
-            config.write_text(json.dumps({key: value}))
-            argv += ["--config", str(config)]
-        code, record = run_cli(capsys, *argv)
+        code, record = run_cli(capsys, *with_setting(tmp_path, source, command, key, value))
         assert code == 2
         assert record is None
         assert key in run_cli.err
+
+    @pytest.mark.parametrize("command, key, value", WRONG_TYPE)
+    def test_wrong_type_config_value_validation(self, capsys, tmp_path, command, key, value):
+        code, record = run_cli(capsys, *with_setting(tmp_path, "config", command, key, value))
+        assert code == 2
+        assert record is None
+        assert key in run_cli.err
+        assert "Traceback" not in run_cli.err
+
+    @pytest.mark.parametrize("command, key, text", BAD_TEXT)
+    def test_unparseable_flag_validation(self, capsys, tmp_path, command, key, text):
+        code, record = run_cli(capsys, *with_setting(tmp_path, "flag", command, key, text))
+        assert code == 2
+        assert record is None
+        assert key in run_cli.err
+
+    @pytest.mark.parametrize("command, key, value", UNREAD)
+    def test_unread_flag_usage(self, capsys, tmp_path, command, key, value):
+        code, record = run_cli(capsys, *with_setting(tmp_path, "flag", command, key, value))
+        assert code == 1
+        assert record is None
+        assert "unrecognized arguments: --" + key.replace("_", "-") in run_cli.err
+
+    @pytest.mark.parametrize("command, key, value", UNREAD)
+    def test_unread_config_key_validation(self, capsys, tmp_path, command, key, value):
+        code, record = run_cli(capsys, *with_setting(tmp_path, "config", command, key, value))
+        assert code == 2
+        assert record is None
+        assert f"unknown config keys: ['{key}']" in run_cli.err
 
     def test_verify_failure_exit(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_golden_checks", lambda: [("forced", False)])
@@ -298,6 +407,47 @@ class TestDeterminism:
         first.pop("wall_time_s")
         second.pop("wall_time_s")
         assert first == second
+
+
+class TestSurface:
+    def test_each_command_takes_only_the_settings_it_reads(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            name: [a.dest for a in cmd._actions if a.dest not in ("help", "config", "csv")]
+            for name, cmd in sub.choices.items()
+        }
+        assert flags == {name: list(cmd.reads) for name, cmd in cli.COMMANDS.items()}
+        assert sum(map(len, flags.values())) == 59
+
+    def test_schema_command_enum_is_the_command_table(self, schema):
+        assert schema["properties"]["command"]["enum"] == list(cli.COMMANDS)
+
+    def test_settings_table_matches_declarations(self):
+        rows = settings_table()
+        assert list(rows) == list(cli.SETTINGS)
+        for name, (default, bound, read_by, _) in rows.items():
+            declared = cli.SETTINGS[name]
+            readers = [c for c, cmd in cli.COMMANDS.items() if name in cmd.reads]
+            assert read_by.split(", ") == readers, name
+            relation, limit = declared.metadata["bound"] or ("", "")
+            if isinstance(limit, tuple):
+                limit = ", ".join(limit)
+            assert bound == f"{relation} {limit}".strip(), name
+            if declared.default is not None:
+                assert default == str(declared.default) or float(default) == declared.default
+
+    def test_readme_examples_cover_every_command(self):
+        assert sorted(argv[0] for argv in readme_examples()) == sorted(cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv", readme_examples(), ids=lambda argv: argv[0])
+    def test_readme_example_runs(self, capsys, tmp_path, argv):
+        if "--csv" in argv:
+            at = argv.index("--csv") + 1
+            argv = [*argv[:at], str(tmp_path / argv[at]), *argv[at + 1:]]
+        code, record = run_cli(capsys, *argv)
+        assert code == 0, run_cli.err
+        assert record["command"] == argv[0]
 
 
 def test_console_entry_point_configured():
