@@ -19,7 +19,6 @@ from .costs import (
     ExponentialCost,
     LinearCost,
     QuadraticPlusCost,
-    cost_from_dict,
     parse_cost,
 )
 from .design import (
@@ -128,7 +127,6 @@ __all__ = [
     "binomial_tail",
     "budget_matched_derivative",
     "contest_metrics",
-    "cost_from_dict",
     "deviation_check",
     "expected_avg_quality",
     "expected_benefit",

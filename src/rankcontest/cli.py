@@ -78,7 +78,7 @@ def _setting(default, help: str, bound: tuple[str, object] | None = None):
 class InstanceSpec:
     """Fully-resolved run configuration; the JSON echo of every record."""
 
-    n: int | None = _setting(None, "number of ranks")
+    n: int | None = _setting(None, "number of ranks", ("at least", 2))
     rewards: list[float] | None = _setting(None, "explicit prizes, e.g. 1,0,0")
     wta: float | None = _setting(None, "winner-take-all top prize (needs --n)")
     tax: float | None = _setting(None, "entry tax (with --wta)")
@@ -89,7 +89,7 @@ class InstanceSpec:
     quad_nodes: int = _setting(QUAD_NODES, "Gauss-Legendre nodes per panel", ("at least", 2))
     quad_tol: float = _setting(QUAD_TOL, "quadrature refinement target", ("above", 0))
     trials: int = _setting(100000, "simulated contests", ("at least", 1))
-    rank: int = _setting(2, "rank whose prize is perturbed")
+    rank: int = _setting(2, "rank whose prize is perturbed", ("at least", 2))
     delta: float | None = _setting(None, "perturbation step (default 1e-4 * a1)")
     taxes: list[float] | None = _setting(None, "entry taxes (default 0,0.01,0.02)")
     budgets: list[float] | None = _setting(None, "budgets to sweep, e.g. 1,2,4")
@@ -109,7 +109,9 @@ class InstanceSpec:
 
 SETTINGS = {f.name: f for f in fields(InstanceSpec)}
 _RELATIONS = {"at least": operator.ge, "above": operator.gt, "one of": lambda v, of: v in of}
-_TYPE_NAMES = {int: "an integer", float: "a number", list: "a list of numbers", str: "a string"}
+_TYPE_NAMES = {
+    int: "an integer", float: "a finite number", list: "a list of finite numbers", str: "a string"
+}
 
 
 def _typed(kind: type, raw, text: bool):
@@ -137,6 +139,8 @@ def _convert(name: str, raw, text: bool = False):
     kind = get_origin(kind) or kind
     try:
         value = _typed(kind, raw, text)
+        if kind in (float, list) and not np.all(np.isfinite(value)):
+            raise ValueError  # nan and inf, which json.load also accepts
     except (ValueError, OverflowError):
         raise DomainError(f"{name} must be {_TYPE_NAMES[kind]}, got {raw!r}") from None
     bound = SETTINGS[name].metadata["bound"]

@@ -11,23 +11,33 @@ the experiments that study endogenous entry.
 
 Three families:
 
-    linear       c(q) = c0 + slope*q          (c0 >= 0, slope > 0)
-    exp          c(q) = exp(k*q)              (k > 0)
-    quad         c(q) = c0 + a*q + b*q**2     (c0 >= 0, a > 0, b >= 0)
+    linear       c(q) = c0 + slope*q
+    exp          c(q) = exp(k*q)
+    quad         c(q) = c0 + a*q + b*q**2
+
+A family declares each parameter once, as a field with its lower bound
+(see :func:`_param`), and its formulas on float arrays.
+:class:`CostModel` derives the rest from those declarations: the
+bound checks (every parameter must also be finite), the quality and
+cost-value checks, scalar-in/scalar-out handling, and the text and
+dict forms.
 
 The monotonicity of the ratio c'(q)/c(q) decides which reward-design
 results apply (winner-take-all dominance and the payoff of taxing
 entry both require it non-increasing), so each family classifies the
-ratio analytically; see :meth:`CostModel.hazard_class`.  The quadratic
+ratio analytically in its ``hazard_class``.  The quadratic
 family exists mainly as a controlled counter-family: with 2*b*c0 > a**2
 the ratio rises before it falls, violating that hypothesis.
 
-Text format used by the CLI and JSON configs::
+Text format used by the CLI and JSON configs: the family, a colon and
+``name=value`` pairs for its fields, in declaration order in
+:meth:`CostModel.spec_string`; omitted fields take their defaults::
 
     linear:c0=0.25,slope=1      exp:k=2      quad:c0=0.1,a=1,b=2
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -42,42 +52,60 @@ HAZARD_OTHER = "other"
 _INVERSE_SLACK = 1e-9
 
 
-def _check_quality(q):
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0.0):
-        raise DomainError("quality must be nonnegative")
-    return q
-
-
-def _scalar_in(x):
-    return np.ndim(x) == 0
+def _param(default: float, least: float, strict: bool = False):
+    """Declare one family parameter: finite and at least ``least``
+    (above it when ``strict``)."""
+    return field(default=default, metadata={"least": least, "strict": strict})
 
 
 @dataclass(frozen=True)
 class CostModel:
     """Common interface of all cost families.
 
-    Subclasses provide ``value``, ``derivative``, ``inverse`` and
-    ``hazard_class``; all accept scalars or arrays and are pure, so
-    instances can be shared freely across threads.
+    Subclasses declare their parameters with :func:`_param`, the
+    formulas ``_value``, ``_derivative`` and ``_inverse`` on float
+    arrays, and ``hazard_class``.  ``value``, ``derivative`` and
+    ``inverse`` accept scalars or arrays (a scalar in gives a float
+    out) and are pure, so instances can be shared freely across threads.
     """
 
     family = "?"
+    title = "?"  # the family's name in error messages
+
+    def __post_init__(self):
+        for param in fields(self):
+            value = getattr(self, param.name)
+            least, strict = param.metadata["least"], param.metadata["strict"]
+            if not (math.isfinite(value) and (value > least if strict else value >= least)):
+                raise DomainError(
+                    f"{self.title} cost requires a finite {param.name} "
+                    f"{'>' if strict else '>='} {least}"
+                )
 
     def value(self, q):
-        raise NotImplementedError
+        return self._scalar_out(self._value, self._quality(q))
 
     def derivative(self, q):
-        raise NotImplementedError
+        return self._scalar_out(self._derivative, self._quality(q))
 
     def inverse(self, v):
-        raise NotImplementedError
+        v = np.asarray(v, dtype=float)
+        floor = self.entry_cost
+        if np.any(v < floor - _INVERSE_SLACK * max(1.0, abs(floor))):
+            raise DomainError(f"cost value below c(0)={floor}: no quality produces it")
+        return self._scalar_out(self._inverse, np.maximum(v, floor))
 
-    def hazard_class(self) -> str:
-        raise NotImplementedError
+    @staticmethod
+    def _quality(q) -> np.ndarray:
+        q = np.asarray(q, dtype=float)
+        if np.any(q < 0.0):
+            raise DomainError("quality must be nonnegative")
+        return q
 
-    def __call__(self, q):
-        return self.value(q)
+    @staticmethod
+    def _scalar_out(formula, x):
+        out = formula(x)
+        return float(out) if np.ndim(x) == 0 else out
 
     @property
     def entry_cost(self) -> float:
@@ -87,100 +115,59 @@ class CostModel:
     def has_entry_cost(self) -> bool:
         return self.entry_cost > 0.0
 
-    def _check_cost(self, v):
-        v = np.asarray(v, dtype=float)
-        floor = self.entry_cost
-        if np.any(v < floor - _INVERSE_SLACK * max(1.0, abs(floor))):
-            raise DomainError(
-                f"cost value below c(0)={floor}: no quality produces it"
-            )
-        return np.maximum(v, floor)
-
     def spec_string(self) -> str:
-        raise NotImplementedError
+        params = ",".join(f"{name}={value!r}" for name, value in asdict(self).items())
+        return f"{self.family}:{params}"
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        return {"family": self.family, **asdict(self)}
 
 
 @dataclass(frozen=True)
 class LinearCost(CostModel):
     """c(q) = c0 + slope*q."""
 
-    c0: float = 0.0
-    slope: float = 1.0
+    c0: float = _param(0.0, 0)
+    slope: float = _param(1.0, 0, strict=True)
 
     family = "linear"
+    title = "linear"
 
-    def __post_init__(self):
-        if not self.c0 >= 0.0:
-            raise DomainError("linear cost requires c0 >= 0")
-        if not self.slope > 0.0:
-            raise DomainError("linear cost requires slope > 0")
+    def _value(self, q):
+        return self.c0 + self.slope * q
 
-    def value(self, q):
-        q = _check_quality(q)
-        out = self.c0 + self.slope * q
-        return float(out) if _scalar_in(q) else out
+    def _derivative(self, q):
+        return np.full_like(q, self.slope, dtype=float)
 
-    def derivative(self, q):
-        q = _check_quality(q)
-        out = np.full_like(q, self.slope, dtype=float)
-        return float(out) if _scalar_in(q) else out
-
-    def inverse(self, v):
-        v = self._check_cost(v)
-        out = (v - self.c0) / self.slope
-        return float(out) if _scalar_in(v) else out
+    def _inverse(self, v):
+        return (v - self.c0) / self.slope
 
     def hazard_class(self) -> str:
         # c'/c = slope / (c0 + slope*q), decreasing in q
         return HAZARD_NONINCREASING
-
-    def spec_string(self) -> str:
-        return f"linear:c0={self.c0!r},slope={self.slope!r}"
-
-    def to_dict(self) -> dict:
-        return {"family": "linear", "c0": self.c0, "slope": self.slope}
 
 
 @dataclass(frozen=True)
 class ExponentialCost(CostModel):
     """c(q) = exp(k*q); the entry cost is always 1."""
 
-    k: float = 1.0
+    k: float = _param(1.0, 0, strict=True)
 
     family = "exp"
+    title = "exponential"
 
-    def __post_init__(self):
-        if not self.k > 0.0:
-            raise DomainError("exponential cost requires k > 0")
+    def _value(self, q):
+        return np.exp(self.k * q)
 
-    def value(self, q):
-        q = _check_quality(q)
-        out = np.exp(self.k * q)
-        return float(out) if _scalar_in(q) else out
+    def _derivative(self, q):
+        return self.k * np.exp(self.k * q)
 
-    def derivative(self, q):
-        q = _check_quality(q)
-        out = self.k * np.exp(self.k * q)
-        return float(out) if _scalar_in(q) else out
-
-    def inverse(self, v):
-        v = self._check_cost(v)
-        out = np.log(v) / self.k
-        out = np.maximum(out, 0.0)
-        return float(out) if _scalar_in(v) else out
+    def _inverse(self, v):
+        return np.maximum(np.log(v) / self.k, 0.0)
 
     def hazard_class(self) -> str:
         # c'/c = k everywhere
         return HAZARD_CONSTANT
-
-    def spec_string(self) -> str:
-        return f"exp:k={self.k!r}"
-
-    def to_dict(self) -> dict:
-        return {"family": "exp", "k": self.k}
 
 
 @dataclass(frozen=True)
@@ -192,66 +179,43 @@ class QuadraticPlusCost(CostModel):
     1/c'(0) integrands out of reach.
     """
 
-    c0: float = 0.0
-    a: float = 1.0
-    b: float = 0.0
+    c0: float = _param(0.0, 0)
+    a: float = _param(1.0, 0, strict=True)
+    b: float = _param(0.0, 0)
 
     family = "quad"
+    title = "quadratic"
 
-    def __post_init__(self):
-        if not self.c0 >= 0.0:
-            raise DomainError("quadratic cost requires c0 >= 0")
-        if not self.a > 0.0:
-            raise DomainError("quadratic cost requires a > 0")
-        if not self.b >= 0.0:
-            raise DomainError("quadratic cost requires b >= 0")
+    def _value(self, q):
+        return self.c0 + self.a * q + self.b * q * q
 
-    def value(self, q):
-        q = _check_quality(q)
-        out = self.c0 + self.a * q + self.b * q * q
-        return float(out) if _scalar_in(q) else out
+    def _derivative(self, q):
+        return self.a + 2.0 * self.b * q
 
-    def derivative(self, q):
-        q = _check_quality(q)
-        out = self.a + 2.0 * self.b * q
-        return float(out) if _scalar_in(q) else out
-
-    def inverse(self, v):
+    def _inverse(self, v):
         # the root of b*q**2 + a*q - d in the form that never subtracts
         # nearly equal terms, which also covers b == 0
-        d = self._check_cost(v) - self.c0
-        out = 2.0 * d / (self.a + np.sqrt(self.a * self.a + 4.0 * self.b * d))
-        return float(out) if _scalar_in(d) else out
+        d = v - self.c0
+        return 2.0 * d / (self.a + np.sqrt(self.a * self.a + 4.0 * self.b * d))
 
     def hazard_class(self) -> str:
         # d/dq [c'/c] has the sign of (2*b*c0 - a^2) - 2*a*b*q - 2*b^2*q^2,
         # so the ratio is non-increasing everywhere iff 2*b*c0 <= a^2 and
-        # otherwise rises before it falls.
-        if self.b == 0.0:
-            return HAZARD_NONINCREASING
+        # otherwise rises before it falls (b == 0 included).
         if 2.0 * self.b * self.c0 <= self.a * self.a:
             return HAZARD_NONINCREASING
         return HAZARD_OTHER
 
-    def spec_string(self) -> str:
-        return f"quad:c0={self.c0!r},a={self.a!r},b={self.b!r}"
 
-    def to_dict(self) -> dict:
-        return {"family": "quad", "c0": self.c0, "a": self.a, "b": self.b}
-
-
-_FAMILIES = {
-    "linear": (LinearCost, ("c0", "slope")),
-    "exp": (ExponentialCost, ("k",)),
-    "quad": (QuadraticPlusCost, ("c0", "a", "b")),
-}
+_FAMILIES = {cls.family: cls for cls in (LinearCost, ExponentialCost, QuadraticPlusCost)}
 
 
 def parse_cost(text: str) -> CostModel:
-    """Parse a cost specification string such as ``linear:c0=0.25,slope=1``.
+    """Parse a cost specification string (see the module docstring).
 
     Raises :class:`CostParseError` carrying the character offset of the
-    first invalid token.
+    first invalid token; a parameter out of its bound or not finite
+    points just past the family name.
     """
     if not isinstance(text, str):
         raise CostParseError("cost spec must be a string", 0)
@@ -263,7 +227,8 @@ def parse_cost(text: str) -> CostModel:
         )
     if not sep:
         raise CostParseError("missing ':' after cost family", len(head))
-    cls, allowed = _FAMILIES[family]
+    cls = _FAMILIES[family]
+    allowed = {param.name for param in fields(cls)}
     params = {}
     offset = len(head) + 1
     for piece in rest.split(","):
@@ -288,18 +253,3 @@ def parse_cost(text: str) -> CostModel:
         return cls(**params)
     except DomainError as exc:
         raise CostParseError(str(exc), len(head) + 1) from exc
-
-
-def cost_from_dict(data: dict) -> CostModel:
-    """Rebuild a cost model from its ``to_dict`` form."""
-    if "family" not in data:
-        raise DomainError("cost dict needs a 'family' key")
-    family = data["family"]
-    if family not in _FAMILIES:
-        raise DomainError(f"unknown cost family {family!r}")
-    cls, allowed = _FAMILIES[family]
-    extra = set(data) - set(allowed) - {"family"}
-    if extra:
-        raise DomainError(f"unknown cost parameters {sorted(extra)}")
-    params = {k: float(data[k]) for k in allowed if k in data}
-    return cls(**params)

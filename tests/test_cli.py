@@ -34,6 +34,7 @@ BASE = {
     "design-attention": ["--caps", "1,0.5", "--cost", "linear:c0=0.25,slope=1"],
     "perturb": WTA3,
     "tax-sweep": WTA3,
+    "avg-sign-sweep": ["--n", "3", "--budgets", "1", "--cost", "exp:k=1"],
     "wta-trial": ["--n", "3", "--budget", "0.875", "--trials", "10",
                   "--cost", "linear:c0=0.25,slope=1"],
     "verify": [],
@@ -57,6 +58,19 @@ OUT_OF_RANGE = [
     ("simulate", "trials", 0),
     ("deviate", "trials", -2),
     ("verify", "suite", "bogus"),
+    ("solve", "n", 1),
+    ("tax-sweep", "n", 0),
+    ("perturb", "rank", 1),
+    ("avg-sign-sweep", "rank", 0),
+    # json.load reads NaN and Infinity, and float() reads nan and inf
+    ("deviate", "margin", float("nan")),
+    ("deviate", "margin", float("inf")),
+    ("tax-sweep", "taxes", [float("nan"), float("inf")]),
+    ("avg-sign-sweep", "budgets", [float("inf")]),
+    ("solve", "rewards", [1.0, float("-inf")]),
+    ("perturb", "delta", float("nan")),
+    ("wta-trial", "budget", float("inf")),
+    ("metrics", "quad_tol", float("inf")),
 ]
 # (command, key, config value) of the wrong JSON type
 WRONG_TYPE = [
@@ -101,10 +115,16 @@ UNREAD = [
 
 def with_setting(tmp_path, source, command, key, value):
     """argv running ``command`` on its base instance plus one setting,
-    given as a flag or in a config file."""
+    given as a flag or in a config file; the setting replaces any value
+    the base instance gives it."""
     argv = [command, *BASE.get(command, GOLDEN)]
+    flag = "--" + key.replace("_", "-")
+    if flag in argv:
+        at = argv.index(flag)
+        del argv[at:at + 2]
     if source == "flag":
-        return argv + ["--" + key.replace("_", "-"), str(value)]
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        return argv + [flag, text]
     config = tmp_path / "instance.json"
     config.write_text(json.dumps({key: value}))
     return argv + ["--config", str(config)]
@@ -209,6 +229,18 @@ class TestExitCodes:
     def test_bad_cost_validation(self, capsys):
         code, _ = run_cli(capsys, "solve", "--rewards", "1,0", "--cost", "cubic:a=1")
         assert code == 2
+
+    @pytest.mark.parametrize("cost", [
+        "exp:k=inf", "linear:c0=0.25,slope=inf", "quad:c0=0.1,a=1,b=inf",
+        "linear:c0=inf,slope=1",
+    ])
+    def test_non_finite_cost_parameter_validation(self, capsys, cost):
+        # the first three used to run 4,096 quadrature panels into exit 3,
+        # and the last printed an all-zero record
+        code, record = run_cli(capsys, "metrics", "--rewards", "1,0", "--cost", cost)
+        assert code == 2
+        assert record is None
+        assert "requires a finite" in run_cli.err
 
     def test_unreachable_quadrature_numeric(self, capsys):
         # a coarse rule on a curved integrand keeps drifting, so the

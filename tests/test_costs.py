@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,6 @@ from rankcontest import (
     ExponentialCost,
     LinearCost,
     QuadraticPlusCost,
-    cost_from_dict,
     parse_cost,
 )
 
@@ -172,7 +175,53 @@ def test_entry_cost_flag():
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.spec_string())
 def test_spec_string_round_trip(model):
     assert parse_cost(model.spec_string()) == model
-    assert cost_from_dict(model.to_dict()) == model
+    data = model.to_dict()
+    assert data.pop("family") == model.family
+    assert type(model)(**data) == model
+
+
+FAMILIES = {cls.family: cls for cls in (LinearCost, ExponentialCost, QuadraticPlusCost)}
+# (spec, message); each was accepted before parameters had to be finite,
+# and the first three then failed deep in quadrature with RuntimeWarnings
+NON_FINITE = [
+    ("exp:k=inf", "exponential cost requires a finite k > 0"),
+    ("linear:c0=0.25,slope=inf", "linear cost requires a finite slope > 0"),
+    ("quad:c0=0.1,a=1,b=inf", "quadratic cost requires a finite b >= 0"),
+    ("linear:c0=inf,slope=1", "linear cost requires a finite c0 >= 0"),
+    ("quad:c0=0.1,a=nan,b=1", "quadratic cost requires a finite a > 0"),
+]
+
+
+@pytest.mark.parametrize("spec, message", NON_FINITE)
+def test_non_finite_parameters_rejected(spec, message):
+    family, _, rest = spec.partition(":")
+    params = {key: float(value) for key, value in (p.split("=") for p in rest.split(","))}
+    with pytest.raises(DomainError) as err:
+        FAMILIES[family](**params)
+    assert str(err.value) == message
+    with pytest.raises(CostParseError) as err:
+        parse_cost(spec)
+    assert str(err.value) == message
+    assert err.value.offset == len(family) + 1
+
+
+def test_docs_list_each_family_with_its_declared_bounds():
+    text = (Path(__file__).resolve().parents[1] / "docs" / "instance-format.md").read_text()
+    block = text.split("## Cost spec strings", 1)[1].split("```", 2)[1]
+    documented = {}
+    for line in block.strip().splitlines():
+        spec, bounds = re.fullmatch(r"(\S+)\s+c\(q\) = .*\((.*)\)", line).groups()
+        family, _, params = spec.partition(":")
+        documented[family] = ([p.split("=")[0] for p in params.split(",")], bounds)
+    declared = {}
+    for cls in FAMILIES.values():
+        params = dataclasses.fields(cls)
+        bounds = ", ".join(
+            f"{p.name} {'>' if p.metadata['strict'] else '>='} {p.metadata['least']}"
+            for p in params
+        )
+        declared[cls.family] = ([p.name for p in params], bounds)
+    assert documented == declared
 
 
 def test_parse_errors_carry_offsets():
