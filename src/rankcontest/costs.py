@@ -91,15 +91,18 @@ class CostModel:
     def inverse(self, v):
         v = np.asarray(v, dtype=float)
         floor = self.entry_cost
-        if np.any(v < floor - _INVERSE_SLACK * max(1.0, abs(floor))):
-            raise DomainError(f"cost value below c(0)={floor}: no quality produces it")
+        least = floor - _INVERSE_SLACK * max(1.0, abs(floor))
+        if not np.all((v >= least) & (v < np.inf)):
+            raise DomainError(
+                f"cost value not finite or below c(0)={floor}: no quality produces it"
+            )
         return self._scalar_out(self._inverse, np.maximum(v, floor))
 
     @staticmethod
     def _quality(q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        if np.any(q < 0.0):
-            raise DomainError("quality must be nonnegative")
+        if not np.all((q >= 0.0) & (q < np.inf)):
+            raise DomainError("quality must be finite and nonnegative")
         return q
 
     @staticmethod

@@ -70,7 +70,8 @@ _NEWTON_CAP = 100
 def _as_unit_interval(x, name: str) -> tuple[np.ndarray, bool]:
     scalar = np.ndim(x) == 0
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(arr < -_X_SLACK) or np.any(arr > 1.0 + _X_SLACK):
+    # written so that NaN fails the test as well
+    if not np.all((arr >= -_X_SLACK) & (arr <= 1.0 + _X_SLACK)):
         raise DomainError(f"{name} must lie in [0, 1]")
     return np.clip(arr, 0.0, 1.0), scalar
 
@@ -236,7 +237,7 @@ class EquilibriumSolution:
         scalar = np.ndim(q) == 0
         arr = np.atleast_1d(np.asarray(q, dtype=float))
         slack = _X_SLACK * max(1.0, self.qbar)
-        if np.any(arr < -slack) or np.any(arr > self.qbar + slack):
+        if not np.all((arr >= -slack) & (arr <= self.qbar + slack)):
             raise DomainError(f"quality must lie in [0, qbar={self.qbar}]")
         return np.clip(arr, 0.0, self.qbar), scalar
 
@@ -276,8 +277,7 @@ class EquilibriumSolution:
         """
         scalar = np.ndim(q) == 0
         arr = np.atleast_1d(np.asarray(q, dtype=float))
-        if np.any(arr < 0.0):
-            raise DomainError("quality must be nonnegative")
+        # the cost model refuses a negative or non-finite quality
         costs = np.asarray(self.cost.value(arr), dtype=float)
         out = self.rewards.top - costs - self.shift
         if self.regime != REGIME_NO_ENTRY:

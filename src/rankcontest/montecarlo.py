@@ -11,6 +11,15 @@ draws at offsets [t*n, (t+1)*n) of each stream.  Batch runs and
 single-round replays therefore agree exactly, results are byte-stable
 across runs, and a parallel split by trial ranges could reproduce the
 same numbers by advancing each stream to its offset.
+
+Only entrants' quality draws are inverted; the quantile is elementwise,
+so this gives the same qualities as inverting every draw.  The
+deviation curve is built from rank counts: the opponents of each trial
+are sorted best-first, each k-th-best column is sorted over trials, and
+one ``searchsorted`` per column then counts, for the whole grid at
+once, the trials whose k-th best opponent beats q.  An opponent whose
+quality equals a grid point exactly is ranked against the deviator by
+the tie streams, trial by trial, at that point only.
 """
 
 import math
@@ -18,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .equilibrium import REGIME_NO_ENTRY, EquilibriumSolution
+from .equilibrium import EquilibriumSolution
 from .errors import DomainError
 
 # stream roles; deviation experiments use their own so the two
@@ -27,9 +36,10 @@ _ENTRY, _QUALITY, _TIE = 1, 2, 3
 _DEV_ENTRY, _DEV_QUALITY, _DEV_TIE, _DEV_SELF = 11, 12, 13, 14
 
 # Largest trials * n one call of run or deviation_check accepts.  Both
-# hold every draw at once, about 50 to 60 bytes per agent-trial at their
-# peak, so the cap keeps a call near 1.1 GB; larger requests are refused
-# before any stream is drawn.
+# hold every draw at once: measured with tracemalloc at 2,000,000
+# agent-trials, they peak at about 31 bytes per agent-trial when some
+# agents stay out and 41 when all enter, so the cap keeps a call near
+# 0.8 GB; larger requests are refused before any stream is drawn.
 MAX_AGENT_TRIALS = 20_000_000
 
 
@@ -168,6 +178,29 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(values.size))
 
 
+def _entrant_qualities(
+    sol: EquilibriumSolution, entered: np.ndarray, quality_stream, fill: float
+) -> np.ndarray:
+    """Qualities in the layout of ``entered``: the quantile of each
+    entrant's draw from ``quality_stream``, ``fill`` for the others.
+
+    Only the entrants' draws are inverted.  The quantile is elementwise,
+    so an entrant's quality does not depend on who else entered.
+    """
+    if not entered.any():
+        return np.full(entered.shape, fill)
+    draws = quality_stream.random(entered.shape)
+    if entered.all():
+        return sol.quantile(draws.ravel()).reshape(entered.shape)
+    # only the entrants' draws and qualities are alive during the quantile
+    draws = draws[entered]
+    values = sol.quantile(draws)
+    del draws
+    out = np.full(entered.shape, fill)
+    out[entered] = values
+    return out
+
+
 def run(sol: EquilibriumSolution, trials: int, seed: int) -> SimulationReport:
     """Simulate ``trials`` independent rounds and aggregate.
 
@@ -178,16 +211,10 @@ def run(sol: EquilibriumSolution, trials: int, seed: int) -> SimulationReport:
     """
     n = sol.n
     _check_work(trials, n)
-    entries = _stream(seed, _ENTRY).random((trials, n))
-    quality_draws = _stream(seed, _QUALITY).random((trials, n))
-    entered = entries < sol.p
-    if sol.regime == REGIME_NO_ENTRY:
-        qualities = np.zeros((trials, n))
-    else:
-        qualities = np.where(
-            entered, sol.quantile(quality_draws.ravel()).reshape(trials, n), 0.0
-        )
+    entered = _stream(seed, _ENTRY).random((trials, n)) < sol.p
+    qualities = _entrant_qualities(sol, entered, _stream(seed, _QUALITY), 0.0)
     counts = entered.sum(axis=1)
+    del entered
     prefix = np.concatenate(([0.0], np.cumsum(sol.rewards.as_array())))
     payouts = prefix[counts]
     eq_max, eq_max_se = _mean_se(qualities.max(axis=1))
@@ -207,6 +234,60 @@ def run(sol: EquilibriumSolution, trials: int, seed: int) -> SimulationReport:
     )
 
 
+def _opponent_qualities(
+    sol: EquilibriumSolution, trials: int, seed: int
+) -> np.ndarray:
+    """The deviator's n-1 opponents, one row per trial; -inf marks an
+    opponent who stays out, so that no grid quality ever ties with one."""
+    entered = _stream(seed, _DEV_ENTRY).random((trials, sol.n - 1)) < sol.p
+    return _entrant_qualities(sol, entered, _stream(seed, _DEV_QUALITY), -np.inf)
+
+
+def _rank_counts(
+    sol: EquilibriumSolution, q_grid: np.ndarray, trials: int, seed: int
+) -> np.ndarray:
+    """counts[i, r]: the trials in which a deviator at ``q_grid[i]``
+    ranks r+1, that is, loses to exactly r opponents.
+
+    The opponents of each trial are sorted best-first and then every
+    k-th-best column is sorted over trials, so the trials whose k-th
+    best opponent beats q are one ``searchsorted`` per column for the
+    whole grid.  An opponent whose quality equals q exactly (a left and
+    right ``searchsorted`` that disagree) beats the deviator when its
+    tie draw is the lower one; those grid points are ranked trial by
+    trial on the streams drawn again from their start, which repeat the
+    same numbers.
+    """
+    n = sol.n
+    qualities = _opponent_qualities(sol, trials, seed)
+    # ascending rows put each trial's k-th best opponent in column n-1-k
+    qualities.sort(axis=1)
+    columns = qualities.T
+    columns.sort(axis=1)
+    # at_least[i, k]: trials in which at least k opponents beat q_grid[i]
+    at_least = np.zeros((q_grid.size, n + 1), dtype=np.int64)
+    at_least[:, 0] = trials
+    tied = np.zeros(q_grid.size, dtype=bool)
+    for k in range(1, n):
+        column = columns[n - 1 - k]
+        below = np.searchsorted(column, q_grid, side="right")
+        at_least[:, k] = trials - below
+        tied |= np.searchsorted(column, q_grid, side="left") != below
+    del qualities, columns, column
+    counts = at_least[:, :-1] - at_least[:, 1:]
+    ties = np.flatnonzero(tied)
+    if ties.size:
+        qualities = _opponent_qualities(sol, trials, seed)
+        self_tie = _stream(seed, _DEV_SELF).random(trials)
+        loses_tie = _stream(seed, _DEV_TIE).random(qualities.shape) < self_tie[:, None]
+        for i in ties:
+            q = q_grid[i]
+            beaten_by = (qualities > q).sum(axis=1)
+            beaten_by += ((qualities == q) & loses_tie).sum(axis=1)
+            counts[i] = np.bincount(beaten_by, minlength=n)
+    return counts
+
+
 def deviation_check(
     sol: EquilibriumSolution, q_grid, trials: int, seed: int
 ) -> tuple[PayoffPoint, ...]:
@@ -216,33 +297,35 @@ def deviation_check(
     Across the support the curve is flat at the equilibrium profit
     level; past the support it falls off as pure extra cost.  The same
     opponent draws are reused for every grid point (common random
-    numbers), which only sharpens the comparison between points.  The
-    work cap of :func:`run` applies here too.
+    numbers), which only sharpens the comparison between points.
+
+    At a fixed q the payoff takes only the n values a_r - c(q), so the
+    mean and its standard error follow exactly from how many trials put
+    the deviator at each rank (see :func:`_rank_counts`, which also
+    states the tie rule).  A point where every trial gives the same
+    rank reports that payoff and a standard error of exactly 0.  The
+    grid must be a 1-d array of finite nonnegative qualities whose
+    costs are finite; it and the work cap of :func:`run` are checked
+    before any stream is drawn.
     """
     _check_work(trials, sol.n)
     q_grid = np.atleast_1d(np.asarray(q_grid, dtype=float))
-    if np.any(q_grid < 0.0):
-        raise DomainError("deviation qualities must be nonnegative")
-    n = sol.n
-    opponents = n - 1
-    prizes = sol.rewards.as_array()
-    entries = _stream(seed, _DEV_ENTRY).random((trials, opponents))
-    quality_draws = _stream(seed, _DEV_QUALITY).random((trials, opponents))
-    opp_tie = _stream(seed, _DEV_TIE).random((trials, opponents))
-    self_tie = _stream(seed, _DEV_SELF).random(trials)
-    entered = entries < sol.p
-    if sol.regime == REGIME_NO_ENTRY or not np.any(entered):
-        qualities = np.zeros((trials, opponents))
-    else:
-        qualities = sol.quantile(quality_draws.ravel()).reshape(trials, opponents)
-    points = []
-    for q in q_grid:
-        beaten_by = entered & (qualities > q)
-        tied = entered & (qualities == q)
-        rank = 1 + beaten_by.sum(axis=1)
-        if np.any(tied):
-            rank = rank + (tied & (opp_tie < self_tie[:, None])).sum(axis=1)
-        payoff = prizes[rank - 1] - sol.cost.value(float(q))
-        mean, se = _mean_se(payoff)
-        points.append(PayoffPoint(q=float(q), mean_payoff=mean, stderr=se, trials=trials))
-    return tuple(points)
+    if q_grid.ndim != 1 or not np.all((q_grid >= 0.0) & (q_grid < np.inf)):
+        raise DomainError(
+            "deviation qualities must be a 1-d grid of finite nonnegative numbers"
+        )
+    with np.errstate(over="ignore"):
+        costs = np.asarray(sol.cost.value(q_grid), dtype=float)
+    if not np.all(costs < np.inf):
+        raise DomainError("deviation qualities must have a finite cost")
+    counts = _rank_counts(sol, q_grid, trials, seed)
+    payoffs = sol.rewards.as_array() - costs[:, None]
+    # shares of exactly 1 and 0 make a single-rank mean exact
+    means = (counts / trials * payoffs).sum(axis=1)
+    # one trial has one rank, so its spread is exactly 0
+    spread = (counts * (payoffs - means[:, None]) ** 2).sum(axis=1)
+    stderrs = np.sqrt(spread / max(trials - 1, 1)) / math.sqrt(trials)
+    return tuple(
+        PayoffPoint(q=float(q), mean_payoff=float(mean), stderr=float(se), trials=trials)
+        for q, mean, se in zip(q_grid, means, stderrs)
+    )

@@ -8,6 +8,19 @@ from rankcontest import (
     RewardVector,
     solve,
 )
+from rankcontest.equilibrium import REGIME_NO_ENTRY
+from rankcontest.montecarlo import (
+    _DEV_ENTRY,
+    _DEV_QUALITY,
+    _DEV_SELF,
+    _DEV_TIE,
+    _ENTRY,
+    _QUALITY,
+    PayoffPoint,
+    SimulationReport,
+    _mean_se,
+    _stream,
+)
 
 GOLDEN_COST = LinearCost(c0=0.25, slope=1.0)
 
@@ -119,3 +132,78 @@ def bisect_benefit(targets, rewards, hi):
         lo = np.where(above, mid, lo)
         high = np.where(above, high, mid)
     return 0.5 * (lo + high)
+
+
+# Oracles for the simulator: the routes that inverted every opponent
+# draw and ranked the deviator trial by trial at every grid point.
+
+
+def run_oracle(sol, trials, seed):
+    """``montecarlo.run`` with every draw inverted, entrant or not."""
+    n = sol.n
+    entries = _stream(seed, _ENTRY).random((trials, n))
+    quality_draws = _stream(seed, _QUALITY).random((trials, n))
+    entered = entries < sol.p
+    if sol.regime == REGIME_NO_ENTRY:
+        qualities = np.zeros((trials, n))
+    else:
+        qualities = np.where(
+            entered, sol.quantile(quality_draws.ravel()).reshape(trials, n), 0.0
+        )
+    counts = entered.sum(axis=1)
+    prefix = np.concatenate(([0.0], np.cumsum(sol.rewards.as_array())))
+    eq_max, eq_max_se = _mean_se(qualities.max(axis=1))
+    eq_avg, eq_avg_se = _mean_se(qualities.sum(axis=1) / n)
+    payout, payout_se = _mean_se(prefix[counts])
+    return SimulationReport(
+        trials=trials,
+        seed=seed,
+        empirical_eq_max=eq_max,
+        eq_max_se=eq_max_se,
+        empirical_eq_avg=eq_avg,
+        eq_avg_se=eq_avg_se,
+        empirical_payout=payout,
+        payout_se=payout_se,
+        entrant_histogram=tuple(int(c) for c in np.bincount(counts, minlength=n + 1)),
+    )
+
+
+def deviation_oracle(sol, q_grid, trials, seed):
+    """(rank counts, curve) of ``montecarlo.deviation_check``, ranking
+    the deviator in every trial at every grid point: counts[i, r] is the
+    number of trials with rank r+1 at q_grid[i]."""
+    q_grid = np.atleast_1d(np.asarray(q_grid, dtype=float))
+    n = sol.n
+    opponents = n - 1
+    prizes = sol.rewards.as_array()
+    entries = _stream(seed, _DEV_ENTRY).random((trials, opponents))
+    quality_draws = _stream(seed, _DEV_QUALITY).random((trials, opponents))
+    opp_tie = _stream(seed, _DEV_TIE).random((trials, opponents))
+    self_tie = _stream(seed, _DEV_SELF).random(trials)
+    entered = entries < sol.p
+    if sol.regime == REGIME_NO_ENTRY or not np.any(entered):
+        qualities = np.zeros((trials, opponents))
+    else:
+        qualities = sol.quantile(quality_draws.ravel()).reshape(trials, opponents)
+    counts, points = [], []
+    for q in q_grid:
+        beaten_by = entered & (qualities > q)
+        tied = entered & (qualities == q)
+        rank = 1 + beaten_by.sum(axis=1)
+        if np.any(tied):
+            rank = rank + (tied & (opp_tie < self_tie[:, None])).sum(axis=1)
+        counts.append(np.bincount(rank - 1, minlength=n))
+        payoff = prizes[rank - 1] - sol.cost.value(float(q))
+        mean, se = _mean_se(payoff)
+        points.append(PayoffPoint(q=float(q), mean_payoff=mean, stderr=se, trials=trials))
+    return np.array(counts), tuple(points)
+
+
+def opponent_qualities(sol, trials, seed):
+    """Every quality an opponent of the deviation experiment draws
+    (entrants only), for grids that tie with them."""
+    entered = _stream(seed, _DEV_ENTRY).random((trials, sol.n - 1)) < sol.p
+    if not entered.any():
+        return np.empty(0)
+    draws = _stream(seed, _DEV_QUALITY).random(entered.shape)
+    return sol.quantile(draws[entered])

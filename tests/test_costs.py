@@ -166,6 +166,18 @@ def test_domain_errors():
         QuadraticPlusCost(c0=0.1, a=0.0, b=1.0)
 
 
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.spec_string())
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_rejected(model, bad):
+    # NaN passes every one-sided range comparison; each entry point
+    # must refuse it rather than return NaN
+    for call in (model.value, model.derivative, model.inverse):
+        with pytest.raises(DomainError):
+            call(bad)
+        with pytest.raises(DomainError):
+            call(np.array([0.5, bad, 2.0]))
+
+
 def test_entry_cost_flag():
     assert LinearCost(c0=0.25, slope=1.0).has_entry_cost
     assert not LinearCost(c0=0.0, slope=1.0).has_entry_cost

@@ -169,6 +169,25 @@ class TestSolvedCdf:
             no_entry.quantile(0.5)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        # NaN passes every one-sided range comparison; each entry point
+        # must refuse it rather than return a number for it
+        sol = solve(RewardVector((1.0, 0.5, 0.0)), GOLDEN_COST)
+        for call in (
+            sol.pressure,
+            sol.cdf,
+            sol.quantile,
+            sol.payoff_residual,
+            lambda v: expected_benefit(v, sol.rewards),
+            lambda v: benefit_slope(v, sol.rewards),
+        ):
+            with pytest.raises(DomainError):
+                call(bad)
+            with pytest.raises(DomainError):
+                call(np.array([0.1, bad, 0.2]))
+
+
 class TestRegimes:
     def test_regime_law(self):
         rng = np.random.default_rng(11)

@@ -3,10 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rankcontest import (
     DomainError,
+    ExponentialCost,
     LinearCost,
     RewardVector,
     StateError,
@@ -19,8 +22,15 @@ from rankcontest import (
     solve,
     trial_streams,
 )
-from rankcontest.montecarlo import MAX_AGENT_TRIALS
-from conftest import GOLDEN_COST
+from rankcontest.montecarlo import MAX_AGENT_TRIALS, _rank_counts
+from conftest import (
+    GOLDEN_COST,
+    deviation_oracle,
+    opponent_qualities,
+    random_cost,
+    random_instance,
+    run_oracle,
+)
 
 
 class TestSampleQuality:
@@ -123,6 +133,18 @@ class TestRun:
         with pytest.raises(DomainError):
             run(golden_interior, 0, seed=1)
 
+    def test_matches_oracle_byte_for_byte(self):
+        # inverting only the entrants' draws changes no reported digit
+        rng = np.random.default_rng(67)
+        instances = [random_instance(rng, n_max=12) for _ in range(30)]
+        instances.append((RewardVector((0.2, 0.0)), GOLDEN_COST))
+        for rewards, cost in instances:
+            sol = solve(rewards, cost)
+            trials, seed = int(rng.integers(1, 3000)), int(rng.integers(2**31))
+            assert json.dumps(run(sol, trials, seed).to_dict()) == json.dumps(
+                run_oracle(sol, trials, seed).to_dict()
+            )
+
 
 class TestDeviationCheck:
     def test_flat_at_profit_level_on_support(self, golden_interior):
@@ -141,14 +163,117 @@ class TestDeviationCheck:
         curve = deviation_check(golden_interior, [0.95], 2000, seed=59)
         point = curve[0]
         # above the support the payoff is deterministic: win, pay the cost
-        assert point.stderr <= 1e-12
-        assert point.mean_payoff == pytest.approx(1.0 - 1.2)
+        assert point.stderr == 0.0
+        assert point.mean_payoff == golden_interior.rewards.top - GOLDEN_COST.value(0.95)
         assert point.mean_payoff < golden_interior.shift
+
+    def test_single_rank_points_exact_in_full_regime(self):
+        # everyone enters, so at q = 0 the deviator is last in every
+        # trial and above the support first in every trial
+        sol = solve(RewardVector((1.0, 0.6, 0.5)), GOLDEN_COST)
+        low, high = deviation_check(sol, [0.0, sol.qbar + 0.1], 3000, seed=71)
+        assert low.stderr == 0.0
+        assert low.mean_payoff == sol.rewards.last - GOLDEN_COST.value(0.0)
+        assert high.stderr == 0.0
+        assert high.mean_payoff == sol.rewards.top - GOLDEN_COST.value(sol.qbar + 0.1)
+
+    def test_ties_with_drawn_qualities_follow_tie_streams(self):
+        sol = solve(RewardVector((1.0, 0.6, 0.3, 0.0)), GOLDEN_COST)
+        drawn = opponent_qualities(sol, 500, seed=73)
+        grid = np.concatenate((drawn[:6], [0.2, drawn[0]]))
+        counts, curve = deviation_oracle(sol, grid, 500, seed=73)
+        np.testing.assert_array_equal(_rank_counts(sol, grid, 500, seed=73), counts)
+        got = deviation_check(sol, grid, 500, seed=73)
+        for field in ("mean_payoff", "stderr"):
+            np.testing.assert_allclose(
+                [getattr(p, field) for p in got],
+                [getattr(p, field) for p in curve],
+                rtol=1e-12,
+                atol=1e-15,
+            )
+
+    @pytest.mark.parametrize(
+        "grid", [[np.nan], [0.1, np.inf], [[0.1, 0.2]], [0.1, -0.2]], ids=str
+    )
+    def test_bad_grid_refused_before_drawing(self, golden_interior, grid):
+        # at the work cap, drawing the streams would take hundreds of MB
+        trials = MAX_AGENT_TRIALS // golden_interior.n
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="deviation qualities"):
+                deviation_check(golden_interior, grid, trials, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_overflowing_cost_refused(self):
+        # exp(800) overflows: the curve would read NaN or -inf
+        sol = solve(RewardVector((3.0, 0.0)), ExponentialCost(k=1.0))
+        with pytest.raises(DomainError, match="finite cost"):
+            deviation_check(sol, [0.5, 800.0], 100, seed=3)
 
     def test_deterministic(self, golden_interior):
         a = deviation_check(golden_interior, [0.2, 0.4], 3000, seed=61)
         b = deviation_check(golden_interior, [0.2, 0.4], 3000, seed=61)
         assert a == b
+
+
+def _contest(seed, n, regime):
+    """A random contest of ``n`` ranks in the named regime."""
+    rng = np.random.default_rng(seed)
+    cost = random_cost(rng)
+    c0 = cost.entry_cost
+    prizes = np.cumsum(rng.exponential(size=n)[::-1])[::-1]
+    if regime == "no_entry":
+        prizes *= c0 * rng.uniform(0.2, 1.0) / prizes[0]
+    else:
+        prizes *= c0 * rng.uniform(1.3, 4.0) / prizes[0]
+        if regime == "full":
+            prizes += c0
+        else:
+            prizes[-1] = min(prizes[-1], 0.5 * c0)
+    sol = solve(RewardVector(tuple(prizes)), cost)
+    assert sol.regime == regime
+    return sol, rng
+
+
+class TestDeviationAgainstOracle:
+    """The rank-count route against ranking every trial at every point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        trials=st.integers(1, 400),
+        regime=st.sampled_from(["interior", "full", "no_entry"]),
+    )
+    def test_rank_counts_and_moments(self, seed, n, trials, regime):
+        sol, rng = _contest(seed, n, regime)
+        sim_seed = int(rng.integers(2**31))
+        grid = np.linspace(0.0, 1.3 * sol.qbar + 0.1, int(rng.integers(1, 20)))
+        drawn = opponent_qualities(sol, trials, sim_seed)
+        if drawn.size:
+            grid = np.concatenate((grid, rng.choice(drawn, size=min(4, drawn.size))))
+        # zero, duplicates and a shuffled order
+        grid = np.concatenate((grid, [0.0], rng.choice(grid, size=3)))
+        rng.shuffle(grid)
+        counts, curve = deviation_oracle(sol, grid, trials, sim_seed)
+        np.testing.assert_array_equal(_rank_counts(sol, grid, trials, sim_seed), counts)
+        prizes = sol.rewards.as_array()
+        for point, want, ranks in zip(
+            deviation_check(sol, grid, trials, sim_seed), curve, counts
+        ):
+            payoffs = prizes - sol.cost.value(point.q)
+            if ranks.max() == trials:
+                assert point.stderr == 0.0
+                assert point.mean_payoff == payoffs[ranks.argmax()]
+                continue
+            # a mean near zero is a cancellation; it is judged on the
+            # scale of the payoffs that make it up
+            scale = np.max(np.abs(payoffs))
+            assert abs(point.mean_payoff - want.mean_payoff) <= 1e-15 * scale
+            assert abs(point.stderr - want.stderr) <= 1e-15 * want.stderr
 
 
 class TestMemory:
@@ -178,6 +303,24 @@ class TestMemory:
         grid = np.linspace(0.0, linear_100.qbar, 9)
         peak = self.peak_mb(lambda: deviation_check(linear_100, grid, 1000, seed=3))
         assert peak <= self.PEAK_MB
+
+    @pytest.mark.parametrize(
+        "prizes, trials",
+        [((1.0, 0.6, 0.5), 16_666), (tuple(np.linspace(1.0, 0.0, 100)), 500)],
+        ids=["n3-full", "n100-interior"],
+    )
+    def test_no_higher_than_oracle(self, prizes, trials):
+        # the benchmark's heaviest simulator shapes: the routes that
+        # invert only entrants and count ranks must not peak above the
+        # ones that inverted every draw and ranked every trial
+        sol = solve(RewardVector(prizes), GOLDEN_COST)
+        grid = np.linspace(0.0, sol.qbar + 0.1, 129)
+        assert self.peak_mb(lambda: run(sol, trials, seed=5)) <= self.peak_mb(
+            lambda: run_oracle(sol, trials, seed=5)
+        )
+        assert self.peak_mb(
+            lambda: deviation_check(sol, grid, trials, seed=5)
+        ) <= self.peak_mb(lambda: deviation_oracle(sol, grid, trials, seed=5))
 
 
 class TestWorkCap:
