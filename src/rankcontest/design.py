@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .costs import CostModel, HAZARD_CONSTANT, HAZARD_NONINCREASING
-from .equilibrium import REGIME_NO_ENTRY, solve
+from .equilibrium import REGIME_NO_ENTRY, EquilibriumSolution, solve
 from .errors import ContestError, ConvergenceError, DomainError
 from .mechanism import AttentionCaps, RewardVector, attention_schedule, winner_take_all
 from .metrics import (
@@ -356,12 +356,12 @@ def budget_matched_derivative(
     ws = rank_probability(base_sol, rank)
     bound = -ws / w1 if w1 > 0 else float("nan")
 
-    def objectives(vec: RewardVector) -> tuple[float, float, float]:
-        report = contest_metrics(solve(vec, cost))
-        return vec.top, report.eq_max, report.eq_avg
+    def objectives(sol: EquilibriumSolution) -> tuple[float, float, float]:
+        report = contest_metrics(sol)
+        return sol.rewards.top, report.eq_max, report.eq_avg
 
     def matched(value: float) -> tuple[float, float, float]:
-        return objectives(_hold_budget(rewards, cost, rank, value, base_payout))
+        return objectives(solve(_hold_budget(rewards, cost, rank, value, base_payout), cost))
 
     if up_ok and down_ok:
         mode = "central"
@@ -371,11 +371,11 @@ def budget_matched_derivative(
     elif up_ok:
         mode = "forward"
         a1_hi, max_hi, avg_hi = matched(a[i] + step)
-        a1_lo, max_lo, avg_lo = objectives(rewards)
+        a1_lo, max_lo, avg_lo = objectives(base_sol)
         width = step
     else:
         mode = "backward"
-        a1_hi, max_hi, avg_hi = objectives(rewards)
+        a1_hi, max_hi, avg_hi = objectives(base_sol)
         a1_lo, max_lo, avg_lo = matched(a[i] - step)
         width = step
     return PerturbationResult(

@@ -1,12 +1,15 @@
 """Property tests of the Bernstein kernel, the one-point tail vector and
 the benefit inversion against the matrix-route oracles in conftest.py."""
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankcontest import RewardVector, benefit_slope, expected_benefit, solve
-from rankcontest.binom import bernstein, tail_vector
+from rankcontest.binom import _BLOCK, _WALK, bernstein, tail_vector
 from rankcontest.equilibrium import _invert_benefit
 from conftest import (
     bisect_benefit,
@@ -45,20 +48,59 @@ def inversion_noise(rewards):
     m=st.integers(0, 999),
     seed=SEEDS,
     drawn=st.lists(st.floats(0.0, 1.0), max_size=8),
+    # both loop orders: blocks on either side of _WALK, and a last block
+    # below _WALK after a full one
+    size=st.one_of(st.integers(0, 2 * _WALK), st.integers(_BLOCK, _BLOCK + _WALK // 2)),
 )
-def test_bernstein_matches_mass_matrix(m, seed, drawn):
+def test_bernstein_matches_mass_matrix(m, seed, drawn, size):
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=m + 1) * 10.0 ** rng.uniform(-3, 3)
-    x = np.concatenate((EDGE_POINTS, drawn))
+    x = np.concatenate((EDGE_POINTS, drawn, rng.random(size), EDGE_POINTS))
     want = coeffs @ pmf_matrix(m, x)
     got = bernstein(coeffs, x)
     assert got.shape == x.shape
     assert np.max(np.abs(got - want)) <= rounding_bound(m, coeffs)
-    assert got[0] == coeffs[0] and got[EDGE_POINTS.size - 1] == coeffs[-1]
+    for ends in (got[: EDGE_POINTS.size], got[-EDGE_POINTS.size :]):
+        assert ends[0] == coeffs[0] and ends[-1] == coeffs[-1]
     rows = np.stack((coeffs, -2.0 * coeffs[::-1]))
     both = bernstein(rows, x)
     assert both.shape == (2, x.size)
     assert np.max(np.abs(both - rows @ pmf_matrix(m, x))) <= rounding_bound(m, rows)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 10, 199, 999])
+def test_bernstein_value_does_not_depend_on_batch(m):
+    # a point gets the same bits alone, in a block the walk takes and in
+    # a block the loop takes
+    rng = np.random.default_rng(m)
+    walked = np.concatenate((EDGE_POINTS, rng.random(_WALK - EDGE_POINTS.size)))
+    looped = np.concatenate((walked, rng.random(_WALK)))
+    coeffs = rng.normal(size=m + 1)
+    for c in (coeffs, np.stack((coeffs[::-1], rng.normal(size=m + 1)))):
+        in_walk = bernstein(c, walked)
+        in_loop = bernstein(c, looped)[..., : walked.size]
+        alone = np.stack([bernstein(c, float(v))[..., 0] for v in walked], axis=-1)
+        assert np.array_equal(in_walk, in_loop)
+        assert np.array_equal(in_walk, alone)
+
+
+def test_bernstein_memory_is_bounded_per_block():
+    # m = 999 (MAX_AGENTS ranks) on the solver's two-row pairs, over one
+    # block for the loop and one for the walk: peak is the result plus
+    # the larger working set, never a mass matrix of (m+1) * x.size
+    m, k = 999, 2
+    rows = np.random.default_rng(0).random((k, m + 1))
+    x = np.linspace(0.0, 1.0, _BLOCK + _WALK)
+    loop_set = (4 * k + 8) * _BLOCK
+    walk_set = (3 * m + 2) * _WALK
+    bound = 1.1 * 8 * (k * x.size + max(loop_set, walk_set))
+    tracemalloc.start()
+    try:
+        bernstein(rows, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 @settings(max_examples=60, deadline=None)
