@@ -11,8 +11,10 @@ sampling rather than assumed.
 The pivotal constraint is *budget matching*: when a lower prize a_s is
 changed, the top prize is re-solved so the expected total payout stays
 fixed, mirroring the question a designer with a fixed purse actually
-faces.  ``hold_budget``, ``taxed_wta`` and ``wta_prize_for_budget``
-re-solve it through one payout gap; the rest of the module builds
+faces.  ``hold_budget``, ``taxed_wta``, ``wta_prize_for_budget`` and
+``rescale_to_budget`` share one matcher, which searches the entry
+probability rather than the prize: every step is closed form, with no
+equilibrium re-solved inside the search.  The rest of the module builds
 sweeps and trials on top of them.
 """
 
@@ -21,6 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .binom import bernstein, tail_vector
 from .costs import CostModel, HAZARD_CONSTANT, HAZARD_NONINCREASING
 from .equilibrium import REGIME_NO_ENTRY, EquilibriumSolution, solve
 from .errors import ContestError, ConvergenceError, DomainError
@@ -37,7 +40,9 @@ _SENSITIVITY_GRID = 50
 _GAP_TINY = 1e-12
 _MAX_CANDIDATES = 4000  # largest lattice attention_certificate will search
 _TIE_TOL = 1e-7  # quality gap attention_certificate counts as a tie
-_BUDGET_TOL = 1e-8  # payout tolerance of hold_budget and taxed_wta
+# payout excess at the lowest admissible top prize that still counts as
+# a match in hold_budget and taxed_wta; any larger excess is infeasible
+_BUDGET_TOL = 1e-8
 _CROSSOVER_MAX_ITER = 60
 _NOISE_TOL = 1e-7  # lead over winner-take-all that counts as a violation
 
@@ -234,22 +239,65 @@ def attention_certificate(
 # budget-matched perturbations
 
 
-def _payout_gap(tail: tuple[float, ...], cost: CostModel, target: float):
-    """g(a1) = expected payout of (a1,) + tail minus ``target``, one solve
-    per call.  The payout rises strictly with the top prize (directly, and
-    through the extra entry it attracts), so g suits :func:`bracketed_root`."""
+def _match_budget(u, v, lo, cost, target, tol, start=None):
+    """The theta >= ``lo`` at which the schedule u + theta * v pays
+    ``target`` in equilibrium.
 
-    def gap(a1: float) -> float:
-        return expected_budget(solve(RewardVector((a1,) + tail), cost)) - target
+    Returns ``lo`` when its schedule already pays within ``tol`` of the
+    target and None when it overpays by more; the payout rises with
+    theta, so no larger theta can match then.  Otherwise the search runs
+    in the entry probability p, on [p at ``lo``, 1], from ``start``.
+    With T(p) the tails P(Binomial(n, p) >= k), k = 1..n, and B_c(p) the
+    degree n-1 Bernstein sum of c, the budget fixes theta in closed form,
 
-    return gap
+        theta(p) = (target - u.T(p)) / (v.T(p)),
+
+    and the root is taken on the indifference residual
+    F(p) = c(0) - B_u(p) - theta(p) B_v(p).  Since d(c.T)/dp = n B_c,
+    F'(p) = n B B_v / (v.T) - (B_u' + theta B_v') with B = B_u + theta B_v,
+    so one step is one kernel pass and one tail vector.  Taking theta
+    from the indifference condition instead would divide by
+    B_v = (1-p)**(n-1) for the top-prize families, which is tiny at high
+    p and underflows at large n.  F(1) <= 0 is full entry, where theta
+    is closed form.
+    """
+    floor = solve(RewardVector(tuple(u + lo * v)), cost)
+    excess = expected_budget(floor) - target
+    if excess > tol:
+        return None
+    if abs(excess) <= tol:
+        return lo
+    n = u.size
+    c0 = cost.entry_cost
+    full = (target - u.sum()) / v.sum()
+    if c0 - u[-1] - full * v[-1] <= 0.0:
+        return float(full)
+    rows = np.stack((u[:-1], u[1:], v[:-1], v[1:]))
+
+    def theta(tails):
+        return (target - u @ tails) / (v @ tails)
+
+    def residual(p):
+        tails = tail_vector(n, p)[1:]
+        t = theta(tails)
+        s0u, s1u, s0v, s1v = bernstein(rows, p)[:, 0]
+        bv = s0v + p * (s1v - s0v)
+        benefit = s0u + p * (s1u - s0u) + t * bv
+        slope = (n - 1) * ((s1u - s0u) + t * (s1v - s0v))
+        return c0 - benefit, n * benefit * bv / (v @ tails) - slope
+
+    # rounding noise of the residual: at the root the benefit is c(0),
+    # and only the tail prizes in u can make its terms larger
+    noise = 4.0 * n * np.finfo(float).eps * max(c0, np.max(np.abs(u)))
+    p = bracketed_root(residual, floor.p, 1.0, ftol=noise, start=start)
+    return float(theta(tail_vector(n, p)[1:]))
 
 
 def hold_budget(
     rewards: RewardVector, cost: CostModel, rank: int, new_value: float
 ) -> RewardVector:
     """Re-price one lower rank and re-solve the top prize so the
-    expected payout is unchanged, to within 1e-8.
+    expected payout is unchanged, exactly up to rounding.
 
     Identity re-pricing returns the input unchanged.  Raises
     :class:`DomainError` when the new schedule would overpay even with
@@ -258,7 +306,7 @@ def hold_budget(
     return _hold_budget(rewards, cost, rank, new_value, None)
 
 
-def _hold_budget(rewards, cost, rank, new_value, base_payout: float | None):
+def _hold_budget(rewards, cost, rank, new_value, base_sol: EquilibriumSolution | None):
     n = rewards.n
     if not 2 <= rank <= n:
         raise DomainError("only ranks 2..n can be re-priced against the top prize")
@@ -277,24 +325,23 @@ def _hold_budget(rewards, cost, rank, new_value, base_payout: float | None):
             "monotonicity unreachable: the fixed rank below pays more than "
             "the requested value"
         )
-    if base_payout is None:
-        base_payout = expected_budget(solve(rewards, cost))
+    if base_sol is None:
+        base_sol = solve(rewards, cost)
     repriced = rewards.replace(rank, new_value)
-    gap = _payout_gap(repriced.prizes[1:], cost, base_payout)
+    tail = repriced.as_array()
+    tail[0] = 0.0
     floor = repriced.prizes[1]
     lo = floor + max(1e-12, 1e-12 * abs(floor))
-    g_lo = gap(lo)
-    if g_lo > _BUDGET_TOL:
+    target = expected_budget(base_sol)
+    try:
+        a1 = _match_budget(tail, np.eye(1, n)[0], lo, cost, target, _BUDGET_TOL, base_sol.p)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"budget match did not converge: {exc}") from exc
+    if a1 is None:
         raise DomainError(
             "budget match infeasible: the top prize would have to fall to "
             "the rank-2 prize or below"
         )
-    try:
-        a1 = bracketed_root(
-            gap, lo, max(rewards.top, 2.0 * abs(lo), 1.0), ftol=_BUDGET_TOL, g_lo=g_lo
-        )
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"budget match did not converge: {exc}") from exc
     result = repriced.replace(1, a1)
     if result.prizes[0] <= result.prizes[1]:
         raise DomainError("budget match pushed the top prize to rank 2 or below")
@@ -351,7 +398,6 @@ def budget_matched_derivative(
             "perturb from a strictly decreasing base schedule instead"
         )
     base_sol = solve(rewards, cost)
-    base_payout = expected_budget(base_sol)
     w1 = rank_probability(base_sol, 1)
     ws = rank_probability(base_sol, rank)
     bound = -ws / w1 if w1 > 0 else float("nan")
@@ -361,7 +407,7 @@ def budget_matched_derivative(
         return sol.rewards.top, report.eq_max, report.eq_avg
 
     def matched(value: float) -> tuple[float, float, float]:
-        return objectives(solve(_hold_budget(rewards, cost, rank, value, base_payout), cost))
+        return objectives(solve(_hold_budget(rewards, cost, rank, value, base_sol), cost))
 
     if up_ok and down_ok:
         mode = "central"
@@ -427,22 +473,23 @@ def taxed_wta(n: int, prize: float, tax: float, cost: CostModel) -> RewardVector
         raise DomainError(
             "the untaxed top prize must exceed c(0), otherwise nobody enters"
         )
-    tail = (-float(tax),) * (n - 1)
-    gap = _payout_gap(tail, cost, expected_budget(solve(base, cost)))
+    base_sol = solve(base, cost)
+    tail = np.full(n, -float(tax))
+    tail[0] = 0.0
     lo = cost.entry_cost * (1.0 + 1e-12) + 1e-300
-    g_lo = gap(lo)
-    if g_lo > _BUDGET_TOL:
-        raise DomainError(
-            "no feasible taxed schedule: the required top prize would fall "
-            "to the entry cost, where participation vanishes"
-        )
+    target = expected_budget(base_sol)
     try:
-        a1 = bracketed_root(gap, lo, max(prize, 2.0 * lo), ftol=_BUDGET_TOL, g_lo=g_lo)
+        a1 = _match_budget(tail, np.eye(1, n)[0], lo, cost, target, _BUDGET_TOL, base_sol.p)
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"taxed winner-take-all budget match did not converge: {exc}"
         ) from exc
-    return RewardVector((a1,) + tail)
+    if a1 is None:
+        raise DomainError(
+            "no feasible taxed schedule: the required top prize would fall "
+            "to the entry cost, where participation vanishes"
+        )
+    return RewardVector((a1,) + (-float(tax),) * (n - 1))
 
 
 def tax_sweep(
@@ -502,12 +549,9 @@ def wta_prize_for_budget(n: int, budget: float, cost: CostModel) -> float:
     if not budget > 0.0:
         raise DomainError("budget must be positive")
     c0 = cost.entry_cost
-    gap = _payout_gap((0.0,) * (n - 1), cost, budget)
     lo = c0 + max(1e-9, 1e-9 * c0)
-    g_lo = gap(lo)
-    if g_lo >= 0.0:
-        return lo
-    return bracketed_root(gap, lo, max(2.0 * lo, budget + c0, 1.0), ftol=1e-10, g_lo=g_lo)
+    a1 = _match_budget(np.zeros(n), np.eye(1, n)[0], lo, cost, budget, 1e-10)
+    return lo if a1 is None else a1
 
 
 def rescale_to_budget(
@@ -523,12 +567,13 @@ def rescale_to_budget(
         raise DomainError("budget must be positive")
     if not rewards.top > 0.0:
         raise DomainError("rescaling needs a positive top prize")
-
-    def gap(m: float) -> float:
-        return expected_budget(solve(rewards.as_array() * m, cost)) - budget
-
-    m = bracketed_root(gap, 1e-12, 1.0, ftol=1e-10)
-    return RewardVector(tuple(rewards.as_array() * m))
+    a = rewards.as_array()
+    m = _match_budget(np.zeros_like(a), a, 1e-12, cost, budget, 1e-10)
+    if m is None:
+        raise ConvergenceError(
+            "root not bracketed: the payout at scale 1e-12 already exceeds the budget"
+        )
+    return RewardVector(tuple(a * m))
 
 
 @dataclass(frozen=True)

@@ -1,59 +1,46 @@
-"""Scalar root bracketing and refinement for increasing objectives."""
+"""Safeguarded Newton iteration for an increasing scalar objective."""
+
+import math
 
 from .errors import ConvergenceError
 
-_MAX_DOUBLINGS = 60
-_XTOL = 1e-13
 _MAX_ITER = 100
+# a Newton step or bracket this many ulps wide ends the iteration
+_STOP_ULPS = 4.0
+_EPS = 2.0**-52
 
 
-def bracketed_root(g, lo: float, hi: float, *, ftol: float, g_lo: float | None = None) -> float:
-    """Root of an increasing ``g`` above ``lo`` by the Illinois method.
+def bracketed_root(g, lo: float, hi: float, *, ftol: float, start: float | None = None) -> float:
+    """Root of an increasing ``g`` inside a bracket with g(lo) <= 0 <= g(hi).
 
-    Returns ``lo`` when |g(lo)| <= ftol.  Otherwise doubles ``hi`` (from
-    1.0 when ``hi <= 0``), moving ``lo`` up behind it, until g(hi) >= 0,
-    then refines until |g| <= ftol or the bracket shrinks below a fixed
-    relative width.  A caller that has already evaluated ``g(lo)``
-    passes it as ``g_lo``.  Raises :class:`ConvergenceError` when no
-    bracket or no root is found within fixed budgets.
+    ``g(x)`` returns the value and the slope at x.  Neither end is
+    evaluated: the iteration begins at ``start`` (the midpoint when it
+    is None or outside the bracket) and takes Newton steps, each
+    shrinking the bracket to the side the root lies on and bisecting
+    wherever a step would leave it or the slope is not positive.  It
+    ends with the step taken from the first point where |g| <= ftol, or
+    once a step or the bracket is a few ulps wide.  Raises
+    :class:`ConvergenceError` on a value that is not finite, or if
+    neither happens within a fixed number of steps; bisection alone
+    reaches the stopping width in about 55.
     """
-    g_lo = g(lo) if g_lo is None else g_lo
-    if abs(g_lo) <= ftol:
-        return lo
-    g_hi = g(hi)
-    for _ in range(_MAX_DOUBLINGS):
-        if g_hi >= 0.0:
-            break
-        lo, g_lo = hi, g_hi
-        hi = hi * 2.0 if hi > 0 else 1.0
-        g_hi = g(hi)
-    else:
-        raise ConvergenceError("could not bracket the root while doubling upward")
-    if abs(g_lo) <= ftol:
-        return lo
-    if abs(g_hi) <= ftol:
-        return hi
-    if g_lo > 0.0:
-        raise ConvergenceError(f"root not bracketed: g({lo})={g_lo}, g({hi})={g_hi}")
-    side = 0
+    x = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
     for _ in range(_MAX_ITER):
-        mid = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-        span = hi - lo
-        if not (lo < mid < hi):
-            mid = lo + 0.5 * span
-        g_mid = g(mid)
-        if abs(g_mid) <= ftol:
-            return mid
-        if g_mid < 0.0:
-            lo, g_lo = mid, g_mid
-            if side == -1:
-                g_hi *= 0.5
-            side = -1
-        else:
-            hi, g_hi = mid, g_mid
-            if side == 1:
-                g_lo *= 0.5
-            side = 1
-        if hi - lo <= _XTOL * max(1.0, abs(lo), abs(hi)):
-            return 0.5 * (lo + hi)
+        value, slope = g(x)
+        if not math.isfinite(value):
+            raise ConvergenceError(f"objective is {value} at {x}")
+        if value < 0.0:
+            lo = x
+        elif value > 0.0:
+            hi = x
+        guess = x - value / slope if slope > 0.0 else lo
+        inside = lo < guess < hi
+        if abs(value) <= ftol:
+            return guess if inside else x
+        if not inside:
+            guess = 0.5 * (lo + hi)
+        xtol = _STOP_ULPS * _EPS * max(1.0, abs(lo), abs(hi))
+        if abs(guess - x) <= xtol or hi - lo <= xtol:
+            return guess
+        x = guess
     raise ConvergenceError(f"no root to ftol={ftol} within {_MAX_ITER} iterations")

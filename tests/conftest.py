@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from rankcontest import (
+    ConvergenceError,
+    DomainError,
     ExponentialCost,
     LinearCost,
     QuadraticPlusCost,
     RewardVector,
+    expected_budget,
     solve,
 )
 from rankcontest.equilibrium import REGIME_NO_ENTRY
@@ -207,3 +210,100 @@ def opponent_qualities(sol, trials, seed):
         return np.empty(0)
     draws = _stream(seed, _DEV_QUALITY).random(entered.shape)
     return sol.quantile(draws[entered])
+
+
+# Oracle for budget matching: the prize-space route that root-found the
+# free prize or scale by the Illinois method, with one full equilibrium
+# solve per evaluation.
+
+BUDGET_TOL = 1e-8  # the oracle's payout tolerance in hold_budget
+_MAX_DOUBLINGS = 60
+_XTOL = 1e-13
+_MAX_ITER = 100
+
+
+def illinois_root(g, lo, hi, *, ftol, g_lo=None):
+    """Root of an increasing ``g`` above ``lo`` by the Illinois method.
+
+    Returns ``lo`` when |g(lo)| <= ftol.  Otherwise doubles ``hi`` (from
+    1.0 when ``hi <= 0``), moving ``lo`` up behind it, until g(hi) >= 0,
+    then refines until |g| <= ftol or the bracket shrinks below a fixed
+    relative width.  A caller that has already evaluated ``g(lo)``
+    passes it as ``g_lo``.  Raises :class:`ConvergenceError` when no
+    bracket or no root is found within fixed budgets.
+    """
+    g_lo = g(lo) if g_lo is None else g_lo
+    if abs(g_lo) <= ftol:
+        return lo
+    g_hi = g(hi)
+    for _ in range(_MAX_DOUBLINGS):
+        if g_hi >= 0.0:
+            break
+        lo, g_lo = hi, g_hi
+        hi = hi * 2.0 if hi > 0 else 1.0
+        g_hi = g(hi)
+    else:
+        raise ConvergenceError("could not bracket the root while doubling upward")
+    if abs(g_lo) <= ftol:
+        return lo
+    if abs(g_hi) <= ftol:
+        return hi
+    if g_lo > 0.0:
+        raise ConvergenceError(f"root not bracketed: g({lo})={g_lo}, g({hi})={g_hi}")
+    side = 0
+    for _ in range(_MAX_ITER):
+        mid = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        span = hi - lo
+        if not (lo < mid < hi):
+            mid = lo + 0.5 * span
+        g_mid = g(mid)
+        if abs(g_mid) <= ftol:
+            return mid
+        if g_mid < 0.0:
+            lo, g_lo = mid, g_mid
+            if side == -1:
+                g_hi *= 0.5
+            side = -1
+        else:
+            hi, g_hi = mid, g_mid
+            if side == 1:
+                g_lo *= 0.5
+            side = 1
+        if hi - lo <= _XTOL * max(1.0, abs(lo), abs(hi)):
+            return 0.5 * (lo + hi)
+    raise ConvergenceError(f"no root to ftol={ftol} within {_MAX_ITER} iterations")
+
+
+def payout_gap(schedule, cost, target):
+    """g(theta) = expected payout of ``schedule(theta)`` minus ``target``,
+    one solve per call; increasing in theta."""
+
+    def gap(theta):
+        return expected_budget(solve(schedule(theta), cost)) - target
+
+    return gap
+
+
+def oracle_hold_budget(rewards, cost, rank, new_value):
+    """``hold_budget`` by the Illinois method over the top prize."""
+    i = rank - 1
+    a = rewards.prizes
+    if new_value == a[i]:
+        return rewards
+    if (i >= 2 and new_value > a[i - 1]) or (i + 1 < rewards.n and new_value < a[i + 1]):
+        raise DomainError("monotonicity unreachable")
+    target = expected_budget(solve(rewards, cost))
+    repriced = rewards.replace(rank, new_value)
+    tail = repriced.prizes[1:]
+    gap = payout_gap(lambda a1: RewardVector((a1,) + tail), cost, target)
+    lo = tail[0] + max(1e-12, 1e-12 * abs(tail[0]))
+    g_lo = gap(lo)
+    if g_lo > BUDGET_TOL:
+        raise DomainError("budget match infeasible")
+    a1 = illinois_root(
+        gap, lo, max(rewards.top, 2.0 * abs(lo), 1.0), ftol=BUDGET_TOL, g_lo=g_lo
+    )
+    result = repriced.replace(1, a1)
+    if result.prizes[0] <= result.prizes[1]:
+        raise DomainError("budget match pushed the top prize to rank 2 or below")
+    return result

@@ -3,6 +3,7 @@ import pytest
 
 from rankcontest import (
     AttentionCaps,
+    ContestError,
     DomainError,
     ExponentialCost,
     LinearCost,
@@ -26,9 +27,24 @@ from rankcontest import (
     wta_dominance_trial,
     wta_prize_for_budget,
 )
-from conftest import random_cost, random_rewards
+from conftest import (
+    BUDGET_TOL,
+    illinois_root,
+    oracle_hold_budget,
+    payout_gap,
+    random_cost,
+    random_instance,
+    random_rewards,
+)
+from rankcontest.binom import tail_vector
 
 COST = LinearCost(c0=0.25, slope=1.0)
+
+
+def payout_error(rewards, cost, target):
+    """|payout - target| over max(1, target): what a match must keep
+    within 1e-12."""
+    return abs(expected_budget(solve(rewards, cost)) - target) / max(1.0, target)
 
 
 def strict_rewards(rng, n, cost):
@@ -126,7 +142,7 @@ class TestHoldBudget:
         out = hold_budget(base, COST, 2, 0.02)
         assert out.prizes[1] == 0.02 and out.prizes[2] == 0.0
         assert out.top < 1.0
-        assert abs(expected_budget(solve(out, COST)) - target) <= 1e-8
+        assert payout_error(out, COST, target) <= 1e-12
 
     def test_budget_matched_on_random_instances(self):
         # an upward move can legitimately be infeasible (the top prize
@@ -151,8 +167,86 @@ class TestHoldBudget:
             except DomainError:
                 continue
             matched += 1
-            assert abs(expected_budget(solve(out, cost)) - target) <= 1e-8
+            assert payout_error(out, cost, target) <= 1e-12
         assert matched >= 12
+
+    @pytest.mark.parametrize(
+        "prizes, cost, rank, new_value",
+        [
+            # a top prize taken from the indifference condition instead of
+            # the budget misses this payout by 2.8e-5
+            (
+                (
+                    1.5744898168750832, 1.4982267077495715, 1.4224209147555151,
+                    1.139034675494206, 1.1352438581686373, 1.0805141076284066,
+                    0.9943075551587629, 0.9447760792141251, 0.6522907958052286,
+                    0.5527807889122397, 0.41325332457643654,
+                ),
+                LinearCost(c0=0.5201384022447152, slope=1.5189018114145272),
+                4,
+                1.1352438581686373,
+            ),
+            (tuple(np.linspace(1.0, 0.0, 100)), COST, 2, 0.985),
+            (tuple(np.linspace(1.0, 0.0, 1000)), COST, 2, 0.9985),
+            (tuple(np.linspace(1.0, 0.0, 1000)), COST, 500, 0.5),
+        ],
+        ids=["n11", "n100", "n1000-rank2", "n1000-rank500"],
+    )
+    def test_conditioning_at_large_n(self, prizes, cost, rank, new_value):
+        base = RewardVector(prizes)
+        target = expected_budget(solve(base, cost))
+        out = hold_budget(base, cost, rank, new_value)
+        assert out.prizes[rank - 1] == new_value
+        assert payout_error(out, cost, target) <= 1e-12
+
+    def test_agrees_with_prize_space_oracle(self):
+        # same feasibility, and a top prize within the oracle's payout
+        # tolerance: the payout rises at least at rate P(someone enters)
+        # with the top prize, so 1e-8 of payout is 1e-8 / T_1(p) of prize
+        rng = np.random.default_rng(89)
+        matched = 0
+        for _ in range(200):
+            base, cost = random_instance(rng)
+            rank = int(rng.integers(2, base.n + 1))
+            value = base.prizes[rank - 1] + rng.uniform(-0.3, 0.3) * base.top
+            outcomes = []
+            for route in (hold_budget, oracle_hold_budget):
+                try:
+                    outcomes.append(route(base, cost, rank, value))
+                except ContestError as exc:
+                    outcomes.append(type(exc))
+            new, old = outcomes
+            assert isinstance(new, type) == isinstance(old, type)
+            if isinstance(new, type):
+                assert new is old
+                continue
+            matched += 1
+            entry = tail_vector(new.n, solve(new, cost).p)[1]
+            assert abs(new.top - old.top) <= 2.0 * BUDGET_TOL / entry
+        assert matched >= 60
+
+    def test_no_entry_base_returns_floor(self):
+        # a base nobody enters pays 0; the floor schedule pays 0 as well,
+        # so the lowest admissible top prize is the match
+        base = RewardVector((0.2, 0.1, 0.0))
+        assert solve(base, COST).p == 0.0
+        out = hold_budget(base, COST, 2, 0.05)
+        assert out.prizes == (0.05 + 1e-12, 0.05, 0.0)
+        assert out == oracle_hold_budget(base, COST, 2, 0.05)
+
+    def test_full_entry_tail_is_closed_form(self):
+        # a last prize at or above c(0) keeps everyone in, so the payout
+        # is the prize sum and the top prize is the target minus the tail
+        for prizes, rank, value in (
+            ((1.0, 0.6, 0.4), 2, 0.5),
+            ((2.0, 1.5, 0.9, 0.25), 3, 1.2),
+            ((1.0, 0.5, 0.5, 0.3), 4, 0.45),
+        ):
+            base = RewardVector(prizes)
+            assert solve(base, COST).regime == "full"
+            target = expected_budget(solve(base, COST))
+            out = hold_budget(base, COST, rank, value)
+            assert out.top == target - np.sum(out.prizes[1:])
 
     def test_monotonicity_unreachable(self):
         base = RewardVector((1.0, 0.3, 0.1))
@@ -200,7 +294,9 @@ class TestBudgetMatchedDerivative:
         result = budget_matched_derivative(base, COST, 3)
         assert result.mode == "central"
         assert solved.count(base.prizes) == 1
-        assert len(solved) == 15
+        # the base, each side's lowest admissible top prize, and each
+        # matched schedule once for its objectives
+        assert len(solved) == 5
 
     def test_quality_losses_at_wta_linear(self):
         base = winner_take_all(3, 1.0)
@@ -265,8 +361,7 @@ class TestBudgetHelpers:
     def test_wta_prize_hits_budget(self):
         for budget in (0.3, 0.875, 2.0):
             prize = wta_prize_for_budget(3, budget, COST)
-            sol = solve(winner_take_all(3, prize), COST)
-            assert expected_budget(sol) == pytest.approx(budget, abs=1e-9)
+            assert payout_error(winner_take_all(3, prize), COST, budget) <= 1e-12
 
     def test_rescale_hits_budget_and_keeps_shape(self):
         rng = np.random.default_rng(71)
@@ -274,11 +369,41 @@ class TestBudgetHelpers:
             cost = random_cost(rng)
             base = strict_rewards(rng, 4, cost)
             matched = rescale_to_budget(base, cost, 1.0)
-            assert expected_budget(solve(matched, cost)) == pytest.approx(
-                1.0, abs=1e-9
-            )
+            assert payout_error(matched, cost, 1.0) <= 1e-12
             ratio = np.asarray(matched.prizes) / np.asarray(base.prizes)
             assert np.allclose(ratio, ratio[0])
+
+    def test_rescale_into_full_entry_is_closed_form(self):
+        # above c(0) / a_n * sum(a) the scaled last prize covers the
+        # entry cost, everyone enters and the payout is the scaled sum
+        base = RewardVector((1.0, 0.5, 0.2))
+        threshold = COST.entry_cost / base.last * np.sum(base.prizes)
+        for budget in (threshold * 1.01, threshold * 3.0):
+            matched = rescale_to_budget(base, COST, budget)
+            scale = budget / np.sum(base.prizes)
+            assert matched.prizes == tuple(np.asarray(base.prizes) * scale)
+            assert solve(matched, COST).regime == "full"
+
+    @pytest.mark.parametrize("seed", [97, 101])
+    def test_helpers_agree_with_prize_space_oracle(self, seed):
+        # the root of the oracle's full-solve payout gap, to its own
+        # tolerance of 1e-10 in payout
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            n = int(rng.integers(2, 9))
+            cost = random_cost(rng)
+            budget = cost.entry_cost * rng.uniform(0.5, 4.0)
+            prize = wta_prize_for_budget(n, budget, cost)
+            gap = payout_gap(lambda a1: winner_take_all(n, a1), cost, budget)
+            lo = cost.entry_cost * (1.0 + 1e-9)
+            old = illinois_root(gap, lo, max(2.0 * lo, budget + cost.entry_cost, 1.0), ftol=1e-10)
+            entry = tail_vector(n, solve(winner_take_all(n, prize), cost).p)[1]
+            assert abs(prize - old) <= 2e-10 / entry
+            base = strict_rewards(rng, n, cost)
+            scale = rescale_to_budget(base, cost, budget).top / base.top
+            gap = payout_gap(lambda m: base.as_array() * m, cost, budget)
+            old = illinois_root(gap, 1e-12, 1.0, ftol=1e-10)
+            assert abs(scale - old) <= 1e-9 * max(1.0, old)
 
 
 class TestAvgSignVsBudget:
@@ -315,6 +440,41 @@ class TestDominanceTrials:
     def test_requires_entry_cost(self):
         with pytest.raises(DomainError):
             wta_dominance_trial(3, 1.0, LinearCost(c0=0.0, slope=1.0), 5, 1)
+
+
+class TestDeepRankSigns:
+    """Budget-matched derivatives deep in the schedule, where the true
+    responses are of order 1e-7: the match must be exact enough that the
+    finite differences keep the paper's sign and the slope bound."""
+
+    def test_named_deep_rank_case(self):
+        result = budget_matched_derivative(
+            winner_take_all(9, 1.09), LinearCost(c0=0.288, slope=1.0), 9
+        )
+        assert result.mode == "backward"
+        assert result.slope_bound == pytest.approx(-6.0e-8, rel=0.01)
+        # the analytic responses are -3.3e-7 and -1.5e-7
+        assert result.da1_das == pytest.approx(-3.3e-7, rel=0.02)
+        assert result.d_eqmax == pytest.approx(-1.5e-7, rel=0.02)
+        assert result.da1_das <= result.slope_bound
+        assert result.d_eqmax <= 0.0
+
+    def test_seeded_deep_rank_sweep(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            n = int(rng.integers(5, 11))
+            cost = LinearCost(c0=float(rng.uniform(0.05, 0.5)), slope=1.0)
+            prize = cost.entry_cost * float(rng.uniform(1.5, 4.0))
+            if rng.random() < 0.5:
+                base, rank = winner_take_all(n, prize), n
+            else:
+                eta = prize * float(rng.uniform(0.5, 1.5)) * 1e-3
+                base = RewardVector((prize, *(eta * (n - 1 - j) for j in range(n - 1))))
+                rank = int(rng.integers(n - 3, n + 1))
+            result = budget_matched_derivative(base, cost, rank)
+            assert result.d_eqmax <= 0.0
+            assert result.d_eqavg <= 0.0
+            assert result.da1_das <= result.slope_bound
 
 
 class TestNearWtaInteriorRanks:
