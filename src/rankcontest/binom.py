@@ -22,11 +22,13 @@ to the bit.  A block of more than ``_WALK`` points loops over the
 degrees in Python, each step one vector operation across the block, and
 holds a few vectors of the block's length per row.  A smaller block,
 where that loop's per-step overhead would dominate, walks the degree
-axis inside numpy instead: every factor of every point in one array, one
-cumulative product for the masses, one cumulative sum per row.  That
-holds 3m+2 floats per point, about 3 MB at m = 999 and ``_WALK``
-points.  :func:`tail_vector` needs every mass at one point, for the
-budget and the rank odds, and takes them from one cumulative product.
+axis inside numpy instead: every factor of every point in one array,
+one cumulative product for the masses, one cumulative sum per row.
+That holds 3m+2 floats per point, about 3 MB at m = 999 and ``_WALK``
+points.  At degree 2 or less the loop has only a step or two, fewer
+calls than the walk, and takes every block.  :func:`tail_vector` needs
+every mass at one point, for the budget and the rank odds, and takes
+them from one cumulative product.
 """
 
 import numpy as np
@@ -38,6 +40,9 @@ _BLOCK = 4096
 # past it the walk's sequential accumulates cost more per point than the
 # loop's per-step Python overhead saves
 _WALK = 128
+# blocks of at most this degree take the loop whatever their size: its
+# one or two steps cost less than the walk's dozen numpy calls
+_LOOP_DEGREE = 2
 
 
 def tail_vector(m: int, x: float) -> np.ndarray:
@@ -72,6 +77,7 @@ def bernstein(coeffs, x) -> np.ndarray:
     c = np.asarray(coeffs, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     rows = c.reshape(-1, c.shape[-1])
+    m = rows.shape[1] - 1
     out = np.empty((rows.shape[0], x.size))
     for start in range(0, x.size, _BLOCK):
         block = x[start : start + _BLOCK]
@@ -80,7 +86,8 @@ def bernstein(coeffs, x) -> np.ndarray:
         far = block > 0.5
         y = np.where(far, 1.0 - block, block)
         ratio = y / (1.0 - y)
-        order = _walk_degrees if block.size <= _WALK else _loop_degrees
+        walk = block.size <= _WALK and m > _LOOP_DEGREE
+        order = _walk_degrees if walk else _loop_degrees
         order(rows, far, y, ratio, out[:, start : start + _BLOCK])
     return out.reshape(c.shape[:-1] + x.shape)
 

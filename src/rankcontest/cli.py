@@ -90,7 +90,7 @@ class InstanceSpec:
     quad_tol: float = _setting(QUAD_TOL, "quadrature refinement target", ("above", 0))
     trials: int = _setting(100000, "simulated contests", ("at least", 1))
     rank: int = _setting(2, "rank whose prize is perturbed", ("at least", 2))
-    delta: float | None = _setting(None, "perturbation step (default 1e-4 * a1)")
+    delta: float | None = _setting(None, "width of the feasibility probe (default 1e-4 * a1)")
     taxes: list[float] | None = _setting(None, "entry taxes (default 0,0.01,0.02)")
     budgets: list[float] | None = _setting(None, "budgets to sweep, e.g. 1,2,4")
     budget: float | None = _setting(None, "budget every trial schedule pays")

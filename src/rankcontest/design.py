@@ -1,12 +1,13 @@
 """Reward-design experiments and comparative statics.
 
 The solver module answers "what happens for these prizes"; this module
-answers "which prizes should be offered".  Everything is numerical:
-derivatives of equilibrium objects with respect to single prizes are
-central (or, where the monotone-prize constraint blocks one side,
-one-sided) finite differences with re-solved equilibria, and the
-optimality statements are checked by certificate search or seeded
-sampling rather than assumed.
+answers "which prizes should be offered".  Budget-matched derivatives
+with respect to single prizes are exact, from the implicit-function
+theorem at the one solved base schedule and one pressure-space
+integral; the response of the quality CDF to a prize
+(``reward_sensitivity``) is a central finite difference over re-solved
+equilibria.  The optimality statements are checked by certificate
+search or seeded sampling rather than assumed.
 
 The pivotal constraint is *budget matching*: when a lower prize a_s is
 changed, the top prize is re-solved so the expected total payout stays
@@ -25,15 +26,18 @@ import numpy as np
 
 from .binom import bernstein, tail_vector
 from .costs import CostModel, HAZARD_CONSTANT, HAZARD_NONINCREASING
-from .equilibrium import REGIME_NO_ENTRY, EquilibriumSolution, solve
+from .equilibrium import REGIME_FULL, REGIME_NO_ENTRY, benefit_slope, solve
 from .errors import ContestError, ConvergenceError, DomainError
 from .mechanism import AttentionCaps, RewardVector, attention_schedule, winner_take_all
 from .metrics import (
+    QUAD_NODES,
+    QUAD_PANELS,
+    QUAD_TOL,
     contest_metrics,
     expected_budget,
     expected_max_quality,
-    rank_probability,
 )
+from .quadrature import integrate
 from .rootfind import bracketed_root
 
 _SENSITIVITY_GRID = 50
@@ -303,10 +307,6 @@ def hold_budget(
     :class:`DomainError` when the new schedule would overpay even with
     its top prize just above the rank-2 prize.
     """
-    return _hold_budget(rewards, cost, rank, new_value, None)
-
-
-def _hold_budget(rewards, cost, rank, new_value, base_sol: EquilibriumSolution | None):
     n = rewards.n
     if not 2 <= rank <= n:
         raise DomainError("only ranks 2..n can be re-priced against the top prize")
@@ -325,8 +325,7 @@ def _hold_budget(rewards, cost, rank, new_value, base_sol: EquilibriumSolution |
             "monotonicity unreachable: the fixed rank below pays more than "
             "the requested value"
         )
-    if base_sol is None:
-        base_sol = solve(rewards, cost)
+    base_sol = solve(rewards, cost)
     repriced = rewards.replace(rank, new_value)
     tail = repriced.as_array()
     tail[0] = 0.0
@@ -352,11 +351,13 @@ def _hold_budget(rewards, cost, rank, new_value, base_sol: EquilibriumSolution |
 class PerturbationResult:
     """Budget-matched response of the quality objectives to one prize.
 
-    ``mode`` records which differences were available: "central" when
-    both directions keep the schedule monotone, otherwise "forward"
-    (only raising) or "backward" (only lowering).  ``slope_bound`` is
-    -W(rank)/W(1), the cap on how much top prize one unit of the lower
-    prize can buy back; the measured ``da1_das`` must sit below it.
+    The derivatives are exact at the base schedule.  ``mode`` and
+    ``step`` describe the feasibility probe: "central" when the prize
+    can move ``step`` both ways and keep the schedule monotone,
+    otherwise "forward" (only raising) or "backward" (only lowering).
+    ``slope_bound`` is -W(rank)/W(1), the cap on how much top prize one
+    unit of the lower prize can buy back; ``da1_das`` sits below it.
+    Both are NaN when nobody enters, and the quality responses are 0.
     """
 
     rank: int
@@ -374,14 +375,29 @@ class PerturbationResult:
 def budget_matched_derivative(
     rewards: RewardVector, cost: CostModel, rank: int, step: float | None = None
 ) -> PerturbationResult:
-    """Finite-difference d(eq_max)/da_rank and d(eq_avg)/da_rank holding
-    the expected payout fixed.
+    """d(eq_max)/da_rank and d(eq_avg)/da_rank holding the expected
+    payout fixed, from the implicit-function theorem at one solve.
 
-    Falls back to a one-sided difference when the monotone-prize
-    constraint forbids one direction (e.g. at winner-take-all, where
-    every trailing prize ties at zero); raises if both directions are
-    blocked, which happens for ranks strictly inside a tied block.
+    With b_k the Bernstein basis polynomial that multiplies a_k in the
+    benefit and q(x) = c^{-1}(benefit(x) - shift), the entry probability
+    moves by dp/da_k = -b_k(p)/benefit'(p) (0 under full entry), the
+    payout B by T_k(p) + n c(0) dp/da_k, and the top prize that holds B
+    by da_1/da_s = -(dB/da_s)/(dB/da_1).  Integrated by parts in
+    pressure space, E[max] and E[avg] are the integrals of q(x) w(x) over
+    [0, p] with w = n(1-x)**(n-1) and w = 1; q(p) = 0 drops the boundary
+    term, so dE/da_k integrates (b_k - dshift/da_k)/c'(q) w.  The shift
+    moves only with the last prize under full entry, where at
+    a_n = c(0) the derivative is the full regime's, the one for raising
+    a_n.
+
+    ``step`` only probes which directions keep the schedule monotone
+    (``mode``): raises if both are blocked, which happens for ranks
+    strictly inside a tied block, e.g. rank 3 of winner-take-all.
     """
+    return _budget_matched_derivative(rewards, cost, rank, step, None)
+
+
+def _budget_matched_derivative(rewards, cost, rank, step, base_sol):
     n = rewards.n
     if not 2 <= rank <= n:
         raise DomainError("only ranks 2..n can be perturbed against the top prize")
@@ -397,40 +413,50 @@ def budget_matched_derivative(
             "both perturbation directions break monotonicity at this rank; "
             "perturb from a strictly decreasing base schedule instead"
         )
-    base_sol = solve(rewards, cost)
-    w1 = rank_probability(base_sol, 1)
-    ws = rank_probability(base_sol, rank)
+    mode = "central" if up_ok and down_ok else "forward" if up_ok else "backward"
+    if base_sol is None:
+        base_sol = solve(rewards, cost)
+    p = base_sol.p
+    tails = tail_vector(n, p)[1:]
+    # -W(rank)/W(1) with W(k) = tails[k-1]/n, as rank_probability has it
+    w1, ws = tails[0] / n, tails[i] / n
     bound = -ws / w1 if w1 > 0 else float("nan")
-
-    def objectives(sol: EquilibriumSolution) -> tuple[float, float, float]:
-        report = contest_metrics(sol)
-        return sol.rewards.top, report.eq_max, report.eq_avg
-
-    def matched(value: float) -> tuple[float, float, float]:
-        return objectives(solve(_hold_budget(rewards, cost, rank, value, base_sol), cost))
-
-    if up_ok and down_ok:
-        mode = "central"
-        a1_hi, max_hi, avg_hi = matched(a[i] + step)
-        a1_lo, max_lo, avg_lo = matched(a[i] - step)
-        width = 2.0 * step
-    elif up_ok:
-        mode = "forward"
-        a1_hi, max_hi, avg_hi = matched(a[i] + step)
-        a1_lo, max_lo, avg_lo = objectives(base_sol)
-        width = step
+    if base_sol.regime == REGIME_NO_ENTRY:
+        # nobody enters nearby either: the payout is identically 0
+        return PerturbationResult(rank, step, mode, float("nan"), 0.0, 0.0, bound)
+    # the prizes, then the unit rows e_1 and e_rank: the benefit and the
+    # two basis polynomials the derivatives need
+    rows = np.zeros((3, n))
+    rows[0] = rewards.as_array()
+    rows[1, 0] = rows[2, i] = 1.0
+    if base_sol.regime == REGIME_FULL:
+        dp = np.zeros(2)
+        dshift = 1.0 if rank == n else 0.0
     else:
-        mode = "backward"
-        a1_hi, max_hi, avg_hi = objectives(base_sol)
-        a1_lo, max_lo, avg_lo = matched(a[i] - step)
-        width = step
+        dp = -bernstein(rows[1:], p)[:, 0] / benefit_slope(p, rewards)
+        dshift = 0.0
+    d_budget = tails[[0, i]] + n * cost.entry_cost * dp
+    da1 = float(-d_budget[1] / d_budget[0])
+
+    def integrand(x):
+        benefit, b1, bs = bernstein(rows, x)
+        scale = 1.0 / cost.derivative(cost.inverse(benefit - base_sol.shift))
+        b1 *= scale
+        bs -= dshift
+        bs *= scale
+        w = n * (1.0 - x) ** (n - 1)
+        return np.stack((b1 * w, bs * w, b1, bs))
+
+    (max1, maxs, avg1, avgs), _ = integrate(
+        integrand, 0.0, p, panels=QUAD_PANELS, nodes=QUAD_NODES, tol=QUAD_TOL
+    )
     return PerturbationResult(
         rank=rank,
         step=step,
         mode=mode,
-        da1_das=(a1_hi - a1_lo) / width,
-        d_eqmax=(max_hi - max_lo) / width,
-        d_eqavg=(avg_hi - avg_lo) / width,
+        da1_das=da1,
+        d_eqmax=float(maxs + da1 * max1),
+        d_eqavg=float(avgs + da1 * avg1),
         slope_bound=float(bound),
     )
 
@@ -596,7 +622,7 @@ def _avg_derivative_at_wta(
     prize = wta_prize_for_budget(n, budget, cost)
     vec = winner_take_all(n, prize)
     sol = solve(vec, cost)
-    result = budget_matched_derivative(vec, cost, rank)
+    result = _budget_matched_derivative(vec, cost, rank, None, sol)
     return prize, sol.p, result.d_eqavg
 
 

@@ -6,11 +6,18 @@ from rankcontest import (
     DomainError,
     ExponentialCost,
     LinearCost,
+    PerturbationResult,
     QuadraticPlusCost,
     RewardVector,
+    contest_metrics,
+    expected_avg_quality,
     expected_budget,
+    expected_max_quality,
+    hold_budget,
+    rank_probability,
     solve,
 )
+from rankcontest.design import _default_step
 from rankcontest.equilibrium import REGIME_NO_ENTRY
 from rankcontest.montecarlo import (
     _DEV_ENTRY,
@@ -307,3 +314,66 @@ def oracle_hold_budget(rewards, cost, rank, new_value):
     if result.prizes[0] <= result.prizes[1]:
         raise DomainError("budget match pushed the top prize to rank 2 or below")
     return result
+
+
+# Oracle for the budget-matched derivatives: the finite-difference route
+# that re-matched the budget at a_s +- step and re-integrated both
+# quality statistics of each matched schedule.
+
+
+def fd_budget_matched_derivative(rewards, cost, rank, step=None, method="grid"):
+    """``budget_matched_derivative`` by central (or, where monotonicity
+    blocks one side, one-sided) differences over re-solved schedules.
+
+    ``method="grid"`` takes the quality statistics from
+    ``contest_metrics``, as the library did; "substitution" integrates
+    them in pressure space, whose smooth integrands keep the quadrature
+    bias out of the differences.
+    """
+    n = rewards.n
+    step = _default_step(rewards) if step is None else float(step)
+    i = rank - 1
+    a = rewards.prizes
+    up_ok = rank == 2 or a[i - 1] >= a[i] + step
+    down_ok = rank == n or a[i] - step >= a[i + 1]
+    if not up_ok and not down_ok:
+        raise DomainError("both perturbation directions break monotonicity")
+    base_sol = solve(rewards, cost)
+    w1 = rank_probability(base_sol, 1)
+    ws = rank_probability(base_sol, rank)
+    bound = -ws / w1 if w1 > 0 else float("nan")
+
+    def objectives(sol):
+        if method == "grid":
+            report = contest_metrics(sol)
+            return sol.rewards.top, report.eq_max, report.eq_avg
+        eq_max = expected_max_quality(sol, method=method)
+        return sol.rewards.top, eq_max, expected_avg_quality(sol, method=method)
+
+    def matched(value):
+        return objectives(solve(hold_budget(rewards, cost, rank, value), cost))
+
+    if up_ok and down_ok:
+        mode = "central"
+        a1_hi, max_hi, avg_hi = matched(a[i] + step)
+        a1_lo, max_lo, avg_lo = matched(a[i] - step)
+        width = 2.0 * step
+    elif up_ok:
+        mode = "forward"
+        a1_hi, max_hi, avg_hi = matched(a[i] + step)
+        a1_lo, max_lo, avg_lo = objectives(base_sol)
+        width = step
+    else:
+        mode = "backward"
+        a1_hi, max_hi, avg_hi = objectives(base_sol)
+        a1_lo, max_lo, avg_lo = matched(a[i] - step)
+        width = step
+    return PerturbationResult(
+        rank=rank,
+        step=step,
+        mode=mode,
+        da1_das=(a1_hi - a1_lo) / width,
+        d_eqmax=(max_hi - max_lo) / width,
+        d_eqavg=(avg_hi - avg_lo) / width,
+        slope_bound=float(bound),
+    )

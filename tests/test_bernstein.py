@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankcontest import RewardVector, benefit_slope, expected_benefit, solve
-from rankcontest.binom import _BLOCK, _WALK, bernstein, tail_vector
+from rankcontest.binom import (
+    _BLOCK,
+    _WALK,
+    _loop_degrees,
+    _walk_degrees,
+    bernstein,
+    tail_vector,
+)
 from rankcontest.equilibrium import _invert_benefit
 from conftest import (
     bisect_benefit,
@@ -70,8 +77,8 @@ def test_bernstein_matches_mass_matrix(m, seed, drawn, size):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 10, 199, 999])
 def test_bernstein_value_does_not_depend_on_batch(m):
-    # a point gets the same bits alone, in a block the walk takes and in
-    # a block the loop takes
+    # a point gets the same bits alone, in a block the walk takes (the
+    # loop's, at m <= 2) and in a block the loop takes
     rng = np.random.default_rng(m)
     walked = np.concatenate((EDGE_POINTS, rng.random(_WALK - EDGE_POINTS.size)))
     looped = np.concatenate((walked, rng.random(_WALK)))
@@ -82,6 +89,25 @@ def test_bernstein_value_does_not_depend_on_batch(m):
         alone = np.stack([bernstein(c, float(v))[..., 0] for v in walked], axis=-1)
         assert np.array_equal(in_walk, in_loop)
         assert np.array_equal(in_walk, alone)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 10])
+def test_walk_and_loop_orders_agree_to_the_bit(m):
+    # bernstein sends every block of degree <= 2 to the loop, so the two
+    # orders meet only here at those degrees
+    rng = np.random.default_rng(m)
+    x = np.concatenate((EDGE_POINTS, rng.random(_WALK - EDGE_POINTS.size)))
+    far = x > 0.5
+    y = np.where(far, 1.0 - x, x)
+    ratio = y / (1.0 - y)
+    for k in (1, 3):
+        rows = rng.normal(size=(k, m + 1))
+        walked = np.empty((k, x.size))
+        looped = np.empty((k, x.size))
+        _walk_degrees(rows, far, y, ratio, walked)
+        _loop_degrees(rows, far, y, ratio, looped)
+        assert np.array_equal(walked, looped)
+        assert np.array_equal(walked, bernstein(rows, x))
 
 
 def test_bernstein_memory_is_bounded_per_block():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankcontest import (
     AttentionCaps,
@@ -29,6 +31,7 @@ from rankcontest import (
 )
 from conftest import (
     BUDGET_TOL,
+    fd_budget_matched_derivative,
     illinois_root,
     oracle_hold_budget,
     payout_gap,
@@ -294,9 +297,8 @@ class TestBudgetMatchedDerivative:
         result = budget_matched_derivative(base, COST, 3)
         assert result.mode == "central"
         assert solved.count(base.prizes) == 1
-        # the base, each side's lowest admissible top prize, and each
-        # matched schedule once for its objectives
-        assert len(solved) == 5
+        # the derivatives come from the base alone
+        assert len(solved) == 1
 
     def test_quality_losses_at_wta_linear(self):
         base = winner_take_all(3, 1.0)
@@ -326,6 +328,100 @@ class TestBudgetMatchedDerivative:
             base = strict_rewards(rng, 4, cost)
             rank = int(rng.integers(2, 5))
             assert budget_matched_derivative(base, cost, rank).da1_das < 0
+
+    def test_agrees_with_finite_differences(self):
+        # the oracle differences at a tenth of the default step, on the
+        # pressure-space integrals: at the default step its truncation
+        # reaches 7.5e-5 relative on bases near the a_n = c(0) kink, and
+        # the q-space integrals' bias 3e-7 absolute
+        rng = np.random.default_rng(83)
+        checked = 0
+        for _ in range(200):
+            rewards, cost = random_instance(rng)
+            rank = int(rng.integers(2, rewards.n + 1))
+            step = 1e-4 * rewards.top
+            if abs(rewards.last - cost.entry_cost) <= 2.0 * step:
+                continue
+            result = budget_matched_derivative(rewards, cost, rank)
+            if result.mode != "central":
+                continue
+            oracle = fd_budget_matched_derivative(
+                rewards, cost, rank, step=0.1 * step, method="substitution"
+            )
+            assert result.slope_bound == oracle.slope_bound
+            for name in ("da1_das", "d_eqmax", "d_eqavg"):
+                got, want = getattr(result, name), getattr(oracle, name)
+                assert abs(got - want) <= 1e-5 * abs(got) + 1e-7, name
+            checked += 1
+        assert checked >= 150
+
+    @pytest.mark.parametrize("family", ["linear", "exp"])
+    def test_one_sided_agrees_with_finite_differences(self, family):
+        # the benchmark's winner-take-all draws; the one-sided oracle's
+        # truncation is O(step)
+        rng = np.random.default_rng(89)
+        for _ in range(20):
+            n = int(rng.integers(3, 11))
+            if family == "linear":
+                cost = LinearCost(c0=float(rng.uniform(0.05, 0.5)), slope=1.0)
+            else:
+                cost = ExponentialCost(k=float(rng.uniform(0.6, 1.4)))
+            base = winner_take_all(n, cost.entry_cost * float(rng.uniform(1.5, 4.0)))
+            for rank in (2, n):
+                result = budget_matched_derivative(base, cost, rank)
+                oracle = fd_budget_matched_derivative(base, cost, rank)
+                assert result.mode == oracle.mode != "central"
+                for name in ("da1_das", "d_eqmax", "d_eqavg"):
+                    got, want = getattr(result, name), getattr(oracle, name)
+                    assert abs(got - want) <= 1e-3 * abs(got) + 1e-7, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_slope_bound_and_wta_signs_hold_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        rewards, cost = random_instance(rng)
+        rank = int(rng.integers(2, rewards.n + 1))
+        if np.all(np.diff(rewards.as_array()) < 0.0):
+            if solve(rewards, cost).regime == "interior":
+                result = budget_matched_derivative(rewards, cost, rank)
+                assert result.da1_das <= result.slope_bound
+        linear = LinearCost(c0=float(rng.uniform(0.05, 0.6)), slope=float(rng.uniform(0.5, 2.0)))
+        n = int(rng.integers(2, 11))
+        wta = winner_take_all(n, linear.entry_cost * float(rng.uniform(1.05, 4.0)))
+        for rank in {2, n}:
+            result = budget_matched_derivative(wta, linear, rank)
+            assert result.d_eqmax <= 0.0
+            assert result.d_eqavg <= 0.0
+
+    def test_no_entry_base(self):
+        # the payout is 0 for every nearby schedule, so there is no slope
+        # to hold it with; the qualities stay 0
+        result = budget_matched_derivative(RewardVector((0.2, 0.1, 0.0)), COST, 2)
+        assert result.mode == "central"
+        assert np.isnan(result.da1_das) and np.isnan(result.slope_bound)
+        assert result.d_eqmax == 0.0 and result.d_eqavg == 0.0
+
+    def test_last_prize_at_entry_cost_takes_full_regime(self):
+        # solve reports full entry at a_n = c(0); the derivative is that
+        # regime's, continuous with the one just above the kink, where a
+        # central difference straddling it gives -4.74
+        cost = LinearCost(c0=0.5, slope=1.0)
+        at = budget_matched_derivative(RewardVector((1.0, 0.6, 0.5)), cost, 3)
+        above = budget_matched_derivative(RewardVector((1.0, 0.6, 0.5 + 1e-9)), cost, 3)
+        assert at.da1_das == -1.0
+        for name in ("da1_das", "d_eqmax", "d_eqavg"):
+            assert getattr(at, name) == pytest.approx(getattr(above, name), abs=1e-8)
+        straddle = fd_budget_matched_derivative(RewardVector((1.0, 0.6, 0.5)), cost, 3)
+        assert straddle.da1_das == pytest.approx(-4.74, abs=0.01)
+
+    def test_nearly_tied_top_prizes(self):
+        # the q-space quality integrals of these schedules raise
+        # QuadratureError; the pressure-space derivatives do not need them
+        base = RewardVector((1.0, 0.999, 0.0))
+        result = budget_matched_derivative(base, COST, 3)
+        oracle = fd_budget_matched_derivative(base, COST, 3, method="substitution")
+        for name in ("da1_das", "d_eqmax", "d_eqavg"):
+            assert getattr(result, name) == pytest.approx(getattr(oracle, name), rel=1e-6)
 
 
 class TestTaxSweep:
@@ -413,6 +509,20 @@ class TestAvgSignVsBudget:
         assert rows[0].sign == "negative"
         assert rows[1].sign == "positive"
 
+    def test_two_solves_per_budget(self, monkeypatch):
+        solved = []
+
+        def counting_solve(rewards, cost):
+            solved.append(rewards.prizes)
+            return solve(rewards, cost)
+
+        monkeypatch.setattr(design, "solve", counting_solve)
+        rows = avg_sign_vs_budget(3, ExponentialCost(k=1.0), [1.0, 6.0], rank=2)
+        assert all(row.ok for row in rows)
+        # the matcher's floor schedule and the matched winner-take-all
+        # vector, which is also the derivative's base
+        assert len(solved) == 4
+
 
 class TestDominanceTrials:
     def test_linear_cost_dominance(self):
@@ -444,8 +554,8 @@ class TestDominanceTrials:
 
 class TestDeepRankSigns:
     """Budget-matched derivatives deep in the schedule, where the true
-    responses are of order 1e-7: the match must be exact enough that the
-    finite differences keep the paper's sign and the slope bound."""
+    responses are of order 1e-7 and smaller: they must keep the paper's
+    sign and the slope bound."""
 
     def test_named_deep_rank_case(self):
         result = budget_matched_derivative(
