@@ -90,7 +90,6 @@ class InstanceSpec:
     quad_tol: float = _setting(QUAD_TOL, "quadrature refinement target", ("above", 0))
     trials: int = _setting(100000, "simulated contests", ("at least", 1))
     rank: int = _setting(2, "rank whose prize is perturbed", ("at least", 2))
-    delta: float | None = _setting(None, "width of the feasibility probe (default 1e-4 * a1)")
     taxes: list[float] | None = _setting(None, "entry taxes (default 0,0.01,0.02)")
     budgets: list[float] | None = _setting(None, "budgets to sweep, e.g. 1,2,4")
     budget: float | None = _setting(None, "budget every trial schedule pays")
@@ -298,7 +297,7 @@ def _cmd_design_attention(spec: InstanceSpec):
 
 def _cmd_perturb(spec: InstanceSpec):
     rewards, cost = build_contest(spec)
-    result = budget_matched_derivative(rewards, cost, spec.rank, spec.delta)
+    result = budget_matched_derivative(rewards, cost, spec.rank)
     output = result.to_dict()
     header = ["rank", "step", "mode", "da1_das", "d_eqmax", "d_eqavg", "slope_bound"]
     rows = [[result.rank, result.step, result.mode, result.da1_das,
@@ -440,7 +439,7 @@ COMMANDS = {
     "design-attention": Command(
         _cmd_design_attention, ("caps", "cost", "levels"), ("caps", "cost")
     ),
-    "perturb": Command(_cmd_perturb, (*_CONTEST, "rank", "delta")),
+    "perturb": Command(_cmd_perturb, (*_CONTEST, "rank")),
     "tax-sweep": Command(_cmd_tax_sweep, ("n", "wta", "cost", "taxes"), ("n", "wta", "cost")),
     "avg-sign-sweep": Command(
         _cmd_avg_sign_sweep, ("n", "cost", "budgets", "rank"), ("n", "cost", "budgets")

@@ -1,13 +1,13 @@
 """Reward-design experiments and comparative statics.
 
 The solver module answers "what happens for these prizes"; this module
-answers "which prizes should be offered".  Budget-matched derivatives
-with respect to single prizes are exact, from the implicit-function
-theorem at the one solved base schedule and one pressure-space
-integral; the response of the quality CDF to a prize
-(``reward_sensitivity``) is a central finite difference over re-solved
-equilibria.  The optimality statements are checked by certificate
-search or seeded sampling rather than assumed.
+answers "which prizes should be offered".  Derivatives with respect
+to single prizes are exact, from the implicit-function theorem at the
+one solved base schedule: the response of the quality CDF to a prize
+(``reward_sensitivity``) in closed form on a quality grid, and the
+budget-matched responses of the quality objectives with one
+pressure-space integral.  The optimality statements are checked by
+certificate search or seeded sampling rather than assumed.
 
 The pivotal constraint is *budget matching*: when a lower prize a_s is
 changed, the top prize is re-solved so the expected total payout stays
@@ -60,19 +60,37 @@ def _default_step(rewards: RewardVector) -> float:
 # prize sensitivities
 
 
+def _entry_partials(sol, ranks):
+    """(dp/da_k, dshift/da_k) for each rank k in ``ranks`` at a solved
+    base where someone enters.
+
+    Under full entry p stays 1 and the shift a_n - c(0) moves one for
+    one with the last prize; otherwise benefit(p) = c(0) moves p by
+    -b_k(p)/benefit'(p) and the shift stays 0.  At a_n = c(0), where
+    the regimes meet, these are the full regime's: the ones for raising
+    a_n.
+    """
+    ranks = np.asarray(ranks)
+    if sol.regime == REGIME_FULL:
+        return np.zeros(ranks.size), (ranks == sol.n).astype(float)
+    units = ranks[:, None] == np.arange(1, sol.n + 1)
+    dp = -bernstein(units, sol.p)[:, 0] / benefit_slope(sol.p, sol.rewards)
+    return dp, np.zeros(ranks.size)
+
+
 @dataclass(frozen=True)
 class SensitivityReport:
-    """Finite-difference response of the equilibrium to one prize.
+    """Response of the equilibrium to one prize, exact at the base.
 
     ``derivs`` holds d[p(1-G(q))]/da at each grid quality; ``sign`` is
-    the common sign across the interior grid ("positive", "negative",
-    "mixed"), or "boundary" when the last prize sits within one step of
-    the entry cost, where the response changes direction and a
-    two-sided difference straddles the kink.
+    the common sign across the interior grid ("positive" when no value
+    is negative and one is positive, "negative" likewise, otherwise
+    "mixed"; an exact zero, such as a basis mass that underflows at
+    large n, counts as neither), or "boundary" for the last prize at
+    exactly the entry cost, where the response changes direction.
     """
 
     rank: int
-    step: float
     grid: tuple[float, ...]
     derivs: tuple[float, ...]
     sign: str
@@ -80,50 +98,37 @@ class SensitivityReport:
 
 
 def reward_sensitivity(
-    rewards: RewardVector, cost: CostModel, rank: int, step: float | None = None
+    rewards: RewardVector, cost: CostModel, rank: int
 ) -> SensitivityReport:
-    """Central-difference d[p(1-G)]/da_rank on an interior quality grid.
+    """d[p(1-G)]/da_rank on an interior quality grid, from one solve.
 
-    Raising any prize but the last draws every quality upward; the last
-    prize helps only while it is below the entry cost and hurts beyond
-    it, because it then subsidizes sitting at the bottom.
+    Differentiating the indifference condition benefit(x(q)) - c(q) =
+    shift at fixed q gives dx/da_k = (dshift/da_k - b_k(x))/benefit'(x),
+    with b_k the Bernstein basis polynomial that multiplies a_k in the
+    benefit.  Raising any prize but the last draws every quality upward;
+    the last prize helps only while it is below the entry cost and hurts
+    beyond it, because it then subsidizes sitting at the bottom.
     """
     if not 1 <= rank <= rewards.n:
         raise DomainError(f"rank must be in 1..{rewards.n}")
-    step = _default_step(rewards) if step is None else float(step)
-    if step <= 0.0:
-        raise DomainError("step must be positive")
-    i = rank - 1
-    a = list(rewards.prizes)
-    if i > 0 and a[i - 1] < a[i] + step:
-        raise DomainError(
-            "perturbation would break monotonicity against the rank above; "
-            "use a smaller step"
-        )
-    if i + 1 < len(a) and a[i] - step < a[i + 1]:
-        raise DomainError(
-            "perturbation would break monotonicity against the rank below; "
-            "use a smaller step"
-        )
-    plus = solve(rewards.replace(rank, a[i] + step), cost)
-    minus = solve(rewards.replace(rank, a[i] - step), cost)
-    if REGIME_NO_ENTRY in (plus.regime, minus.regime):
-        raise DomainError("perturbed contest loses all entry; nothing to compare")
-    top = min(plus.qbar, minus.qbar)
-    grid = np.linspace(0.0, top, _SENSITIVITY_GRID + 2)[1:-1]
-    derivs = (plus.pressure(grid) - minus.pressure(grid)) / (2.0 * step)
-    dp = (plus.p - minus.p) / (2.0 * step)
-    if rank == rewards.n and abs(rewards.last - cost.entry_cost) <= step:
+    sol = solve(rewards, cost)
+    if sol.regime == REGIME_NO_ENTRY:
+        raise DomainError("nobody enters; there is no quality distribution to perturb")
+    grid = np.linspace(0.0, sol.qbar, _SENSITIVITY_GRID + 2)[1:-1]
+    x = sol.pressure(grid)
+    (dp,), (dshift,) = _entry_partials(sol, (rank,))
+    basis = bernstein(np.arange(1, rewards.n + 1) == rank, x)
+    derivs = (dshift - basis) / benefit_slope(x, rewards)
+    if rank == rewards.n and rewards.last == cost.entry_cost:
         sign = "boundary"
-    elif np.all(derivs > 0.0):
+    elif np.all(derivs >= 0.0) and np.any(derivs > 0.0):
         sign = "positive"
-    elif np.all(derivs < 0.0):
+    elif np.all(derivs <= 0.0) and np.any(derivs < 0.0):
         sign = "negative"
     else:
         sign = "mixed"
     return SensitivityReport(
         rank=rank,
-        step=step,
         grid=tuple(float(q) for q in grid),
         derivs=tuple(float(d) for d in derivs),
         sign=sign,
@@ -170,18 +175,7 @@ class AttentionCertificate:
     avg_ties: int
 
     def to_dict(self) -> dict:
-        return {
-            "schedule": list(self.schedule.prizes),
-            "candidates": self.candidates,
-            "eq_max": self.eq_max,
-            "eq_avg": self.eq_avg,
-            "best_candidate_max": self.best_candidate_max,
-            "best_candidate_avg": self.best_candidate_avg,
-            "max_optimal": self.max_optimal,
-            "avg_optimal": self.avg_optimal,
-            "max_ties": self.max_ties,
-            "avg_ties": self.avg_ties,
-        }
+        return asdict(self) | {"schedule": list(self.schedule.prizes)}
 
 
 def attention_certificate(
@@ -351,10 +345,10 @@ def hold_budget(
 class PerturbationResult:
     """Budget-matched response of the quality objectives to one prize.
 
-    The derivatives are exact at the base schedule.  ``mode`` and
-    ``step`` describe the feasibility probe: "central" when the prize
-    can move ``step`` both ways and keep the schedule monotone,
-    otherwise "forward" (only raising) or "backward" (only lowering).
+    The derivatives are exact at the base schedule.  ``mode`` names the
+    directions that keep the schedule monotone: "central" when the
+    prize can move ``step``, fixed at 1e-4 * a_1, both ways, otherwise
+    "forward" (only raising) or "backward" (only lowering).
     ``slope_bound`` is -W(rank)/W(1), the cap on how much top prize one
     unit of the lower prize can buy back; ``da1_das`` sits below it.
     Both are NaN when nobody enters, and the quality responses are 0.
@@ -373,7 +367,7 @@ class PerturbationResult:
 
 
 def budget_matched_derivative(
-    rewards: RewardVector, cost: CostModel, rank: int, step: float | None = None
+    rewards: RewardVector, cost: CostModel, rank: int
 ) -> PerturbationResult:
     """d(eq_max)/da_rank and d(eq_avg)/da_rank holding the expected
     payout fixed, from the implicit-function theorem at one solve.
@@ -390,20 +384,18 @@ def budget_matched_derivative(
     a_n = c(0) the derivative is the full regime's, the one for raising
     a_n.
 
-    ``step`` only probes which directions keep the schedule monotone
-    (``mode``): raises if both are blocked, which happens for ranks
-    strictly inside a tied block, e.g. rank 3 of winner-take-all.
+    Raises if neither direction keeps the schedule monotone (``mode``),
+    which happens for ranks strictly inside a tied block, e.g. rank 3
+    of winner-take-all.
     """
-    return _budget_matched_derivative(rewards, cost, rank, step, None)
+    return _budget_matched_derivative(rewards, cost, rank, None)
 
 
-def _budget_matched_derivative(rewards, cost, rank, step, base_sol):
+def _budget_matched_derivative(rewards, cost, rank, base_sol):
     n = rewards.n
     if not 2 <= rank <= n:
         raise DomainError("only ranks 2..n can be perturbed against the top prize")
-    step = _default_step(rewards) if step is None else float(step)
-    if step <= 0.0:
-        raise DomainError("step must be positive")
+    step = _default_step(rewards)
     i = rank - 1
     a = rewards.prizes
     up_ok = rank == 2 or a[i - 1] >= a[i] + step
@@ -429,12 +421,7 @@ def _budget_matched_derivative(rewards, cost, rank, step, base_sol):
     rows = np.zeros((3, n))
     rows[0] = rewards.as_array()
     rows[1, 0] = rows[2, i] = 1.0
-    if base_sol.regime == REGIME_FULL:
-        dp = np.zeros(2)
-        dshift = 1.0 if rank == n else 0.0
-    else:
-        dp = -bernstein(rows[1:], p)[:, 0] / benefit_slope(p, rewards)
-        dshift = 0.0
+    dp, (_, dshift) = _entry_partials(base_sol, (1, rank))
     d_budget = tails[[0, i]] + n * cost.entry_cost * dp
     da1 = float(-d_budget[1] / d_budget[0])
 
@@ -469,12 +456,12 @@ def _budget_matched_derivative(rewards, cost, rank, step, base_sol):
 class TaxRow:
     tax: float
     ok: bool
-    reason: str | None
-    top_prize: float | None
-    p: float | None
-    eq_max: float | None
-    eq_avg: float | None
-    budget: float | None
+    reason: str | None = None
+    top_prize: float | None = None
+    p: float | None = None
+    eq_max: float | None = None
+    eq_avg: float | None = None
+    budget: float | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -542,7 +529,6 @@ def tax_sweep(
                 TaxRow(
                     tax=tax,
                     ok=True,
-                    reason=None,
                     top_prize=vec.top,
                     p=sol.p,
                     eq_max=report.eq_max,
@@ -551,18 +537,7 @@ def tax_sweep(
                 )
             )
         except ContestError as exc:
-            rows.append(
-                TaxRow(
-                    tax=tax,
-                    ok=False,
-                    reason=str(exc),
-                    top_prize=None,
-                    p=None,
-                    eq_max=None,
-                    eq_avg=None,
-                    budget=None,
-                )
-            )
+            rows.append(TaxRow(tax=tax, ok=False, reason=str(exc)))
     return tuple(rows)
 
 
@@ -606,11 +581,11 @@ def rescale_to_budget(
 class BudgetSignRow:
     budget: float
     ok: bool
-    reason: str | None
-    top_prize: float | None
-    p: float | None
-    d_eqavg: float | None
-    sign: str | None
+    reason: str | None = None
+    top_prize: float | None = None
+    p: float | None = None
+    d_eqavg: float | None = None
+    sign: str | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -622,7 +597,7 @@ def _avg_derivative_at_wta(
     prize = wta_prize_for_budget(n, budget, cost)
     vec = winner_take_all(n, prize)
     sol = solve(vec, cost)
-    result = _budget_matched_derivative(vec, cost, rank, None, sol)
+    result = _budget_matched_derivative(vec, cost, rank, sol)
     return prize, sol.p, result.d_eqavg
 
 
@@ -649,27 +624,11 @@ def avg_sign_vs_budget(
                 sign = "zero"
             rows.append(
                 BudgetSignRow(
-                    budget=budget,
-                    ok=True,
-                    reason=None,
-                    top_prize=prize,
-                    p=p,
-                    d_eqavg=d_eqavg,
-                    sign=sign,
+                    budget=budget, ok=True, top_prize=prize, p=p, d_eqavg=d_eqavg, sign=sign
                 )
             )
         except ContestError as exc:
-            rows.append(
-                BudgetSignRow(
-                    budget=budget,
-                    ok=False,
-                    reason=str(exc),
-                    top_prize=None,
-                    p=None,
-                    d_eqavg=None,
-                    sign=None,
-                )
-            )
+            rows.append(BudgetSignRow(budget=budget, ok=False, reason=str(exc)))
     return tuple(rows)
 
 

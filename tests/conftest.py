@@ -9,6 +9,7 @@ from rankcontest import (
     PerturbationResult,
     QuadraticPlusCost,
     RewardVector,
+    SensitivityReport,
     contest_metrics,
     expected_avg_quality,
     expected_budget,
@@ -376,4 +377,49 @@ def fd_budget_matched_derivative(rewards, cost, rank, step=None, method="grid"):
         d_eqmax=(max_hi - max_lo) / width,
         d_eqavg=(avg_hi - avg_lo) / width,
         slope_bound=float(bound),
+    )
+
+
+# Oracle for the prize sensitivities: the central difference over two
+# re-solved contests that the indifference-condition route replaced.
+
+
+def fd_reward_sensitivity(rewards, cost, rank, step):
+    """``reward_sensitivity`` by central differences of the pressure
+    and the entry probability over the contests with a_rank +- step.
+
+    The library took the grid inside the lower of the two perturbed
+    support endpoints; this takes the base's grid, as the library now
+    does, so that the two compare point by point.  It lies inside both
+    perturbed supports while the step is small.
+    """
+    if not 1 <= rank <= rewards.n:
+        raise DomainError(f"rank must be in 1..{rewards.n}")
+    i = rank - 1
+    a = list(rewards.prizes)
+    if i > 0 and a[i - 1] < a[i] + step:
+        raise DomainError("perturbation would break monotonicity against the rank above")
+    if i + 1 < len(a) and a[i] - step < a[i + 1]:
+        raise DomainError("perturbation would break monotonicity against the rank below")
+    plus = solve(rewards.replace(rank, a[i] + step), cost)
+    minus = solve(rewards.replace(rank, a[i] - step), cost)
+    if REGIME_NO_ENTRY in (plus.regime, minus.regime):
+        raise DomainError("perturbed contest loses all entry; nothing to compare")
+    grid = np.linspace(0.0, solve(rewards, cost).qbar, 52)[1:-1]
+    derivs = (plus.pressure(grid) - minus.pressure(grid)) / (2.0 * step)
+    dp = (plus.p - minus.p) / (2.0 * step)
+    if rank == rewards.n and abs(rewards.last - cost.entry_cost) <= step:
+        sign = "boundary"
+    elif np.all(derivs > 0.0):
+        sign = "positive"
+    elif np.all(derivs < 0.0):
+        sign = "negative"
+    else:
+        sign = "mixed"
+    return SensitivityReport(
+        rank=rank,
+        grid=tuple(float(q) for q in grid),
+        derivs=tuple(float(d) for d in derivs),
+        sign=sign,
+        dp=float(dp),
     )

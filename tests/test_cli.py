@@ -41,7 +41,7 @@ BASE = {
 }
 # knobs that changed no result and were removed; old records carrying
 # them still validate, but no flag or config key accepts them
-REMOVED_KNOBS = ("threads", "arg_tol")
+REMOVED_KNOBS = ("threads", "arg_tol", "delta")
 # (command, setting, value) outside the range any run can use
 OUT_OF_RANGE = [
     ("solve", "grid", 0),
@@ -68,7 +68,6 @@ OUT_OF_RANGE = [
     ("tax-sweep", "taxes", [float("nan"), float("inf")]),
     ("avg-sign-sweep", "budgets", [float("inf")]),
     ("solve", "rewards", [1.0, float("-inf")]),
-    ("perturb", "delta", float("nan")),
     ("wta-trial", "budget", float("inf")),
     ("metrics", "quad_tol", float("inf")),
 ]
@@ -87,7 +86,7 @@ WRONG_TYPE = [
     ("solve", "rewards", [1, None]),
     ("design-attention", "caps", {"a": 1}),
     ("solve", "cost", 3),
-    ("perturb", "delta", "small"),
+    ("perturb", "rank", "3"),
     ("wta-trial", "budget", [1]),
     ("verify", "suite", ["all"]),
 ]
@@ -98,14 +97,15 @@ BAD_TEXT = [
     ("solve", "rewards", "1,a"),
     ("metrics", "quad_tol", "tiny"),
 ]
-# (command, key, value) of settings the command does not read; each was
-# accepted and echoed, and changed nothing, while every command took
-# every shared setting
+# (command, key, value) of settings the command does not read, or, for
+# ``delta``, that no command has any more; each was accepted and echoed,
+# and changed nothing, while every command took every shared setting
 UNREAD = [
     ("solve", "seed", 3),
     ("solve", "trials", 5),
     ("solve", "quad_tol", 1e-3),
     ("perturb", "quad_tol", 1e-2),
+    ("perturb", "delta", 1e-3),
     ("tax-sweep", "tax", 0.5),
     ("design-attention", "n", 7),
     ("verify", "cost", "nonsense"),
@@ -450,7 +450,7 @@ class TestSurface:
             for name, cmd in sub.choices.items()
         }
         assert flags == {name: list(cmd.reads) for name, cmd in cli.COMMANDS.items()}
-        assert sum(map(len, flags.values())) == 59
+        assert sum(map(len, flags.values())) == 58
 
     def test_schema_command_enum_is_the_command_table(self, schema):
         assert schema["properties"]["command"]["enum"] == list(cli.COMMANDS)

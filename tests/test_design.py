@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankcontest import (
@@ -32,6 +32,7 @@ from rankcontest import (
 from conftest import (
     BUDGET_TOL,
     fd_budget_matched_derivative,
+    fd_reward_sensitivity,
     illinois_root,
     oracle_hold_budget,
     payout_gap,
@@ -91,9 +92,85 @@ class TestRewardSensitivity:
             for rank in range(1, 5):
                 assert reward_sensitivity(rewards, cost, rank).dp > 0
 
-    def test_oversized_step_rejected(self):
+    def test_solves_base_once(self, monkeypatch):
+        solved = []
+
+        def counting_solve(rewards, cost):
+            solved.append(rewards.prizes)
+            return solve(rewards, cost)
+
+        monkeypatch.setattr(design, "solve", counting_solve)
+        base = RewardVector((1.0, 0.6, 0.3, 0.0))
+        for rank in range(1, 5):
+            reward_sensitivity(base, COST, rank)
+        assert solved == [base.prizes] * 4
+
+    def test_agrees_with_finite_differences(self):
+        # at this step the oracle's truncation and rounding stay below
+        # the bounds (0.53 of the derivs bound at worst on these draws);
+        # at 1e-4 * a_1 one n = 2 case is off by 6e-4 relative.  Rank-n
+        # bases near c(0) make the difference straddle the regime kink.
+        checked = 0
+        for seed in (23, 29, 31):
+            rng = np.random.default_rng(seed)
+            for _ in range(400):
+                rewards, cost = random_instance(rng, n_max=12)
+                rank = int(rng.integers(1, rewards.n + 1))
+                step = 1e-5 * rewards.top
+                if rank == rewards.n and abs(rewards.last - cost.entry_cost) <= 2.0 * step:
+                    continue
+                report = reward_sensitivity(rewards, cost, rank)
+                oracle = fd_reward_sensitivity(rewards, cost, rank, step)
+                assert report.grid == oracle.grid
+                got, want = np.array(report.derivs), np.array(oracle.derivs)
+                assert np.all(np.abs(got - want) <= 1e-3 * np.abs(got) + 1e-9)
+                assert abs(report.dp - oracle.dp) <= 1e-4 * abs(report.dp) + 1e-10
+                checked += 1
+        assert checked >= 1150
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rel=st.floats(0.0, 2.0))
+    def test_signs_hold_exactly(self, seed, rel):
+        rng = np.random.default_rng(seed)
+        rewards, cost = random_instance(rng, n_max=12)
+        for rank in range(1, rewards.n):
+            assert reward_sensitivity(rewards, cost, rank).sign == "positive"
+        last = rel * cost.entry_cost
+        assume(last < rewards.prizes[-2])
+        rewards = rewards.replace(rewards.n, last)
+        want = "positive" if last < cost.entry_cost else "negative"
+        if last == cost.entry_cost:
+            want = "boundary"
+        assert reward_sensitivity(rewards, cost, rewards.n).sign == want
+
+    def test_tied_top_prizes_closed_form(self):
+        # (1, 1, 0): benefit(x) = 1 - x**2, so at c(q) = q + 1/4 the
+        # pressure is sqrt(3/4 - q), dx/da_1 = (1-x)**2 / (2x) and
+        # dx/da_2 = 1 - x; the finite difference cannot lower a_1 here
+        rewards = RewardVector((1.0, 1.0, 0.0))
+        p = np.sqrt(0.75)
+        for rank, dx in ((1, lambda x: (1.0 - x) ** 2 / (2.0 * x)), (2, lambda x: 1.0 - x)):
+            report = reward_sensitivity(rewards, COST, rank)
+            x = np.sqrt(0.75 - np.array(report.grid))
+            assert np.all(np.isfinite(report.derivs))
+            np.testing.assert_allclose(report.derivs, dx(x), rtol=1e-12)
+            assert report.dp == pytest.approx(dx(p), rel=1e-12)
+            assert report.sign == "positive"
+
+    @pytest.mark.parametrize("c0", [0.25, 0.5])
+    def test_signs_at_a_thousand_ranks(self, c0):
+        # basis masses underflow to exact zeros near the ends of the
+        # support; none is a wrong sign
+        rewards = RewardVector(tuple(np.linspace(1.0, 0.3, 1000)))
+        cost = LinearCost(c0=c0, slope=1.0)
+        for rank in (1, 500, 999):
+            report = reward_sensitivity(rewards, cost, rank)
+            assert report.sign == "positive"
+            assert min(report.derivs) >= 0.0
+
+    def test_no_entry_rejected(self):
         with pytest.raises(DomainError):
-            reward_sensitivity(RewardVector((1.0, 0.99, 0.0)), COST, 2, step=0.05)
+            reward_sensitivity(RewardVector((0.2, 0.1, 0.0)), COST, 1)
 
 
 class TestOptimalAttention:
