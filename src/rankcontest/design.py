@@ -15,8 +15,12 @@ fixed, mirroring the question a designer with a fixed purse actually
 faces.  ``hold_budget``, ``taxed_wta``, ``wta_prize_for_budget`` and
 ``rescale_to_budget`` share one matcher, which searches the entry
 probability rather than the prize: every step is closed form, with no
-equilibrium re-solved inside the search.  The rest of the module builds
-sweeps and trials on top of them.
+equilibrium re-solved inside the search.  It has one failure rule: a
+request whose schedule overpays even at the lowest admissible top
+prize or scale raises :class:`DomainError`.  Feasibility and
+convergence are judged against the payout's own rounding noise, so the
+matches scale with the prizes, exactly to rounding.  The rest of the
+module builds sweeps and trials on top of them.
 """
 
 import itertools
@@ -44,11 +48,9 @@ _SENSITIVITY_GRID = 50
 _GAP_TINY = 1e-12
 _MAX_CANDIDATES = 4000  # largest lattice attention_certificate will search
 _TIE_TOL = 1e-7  # quality gap attention_certificate counts as a tie
-# payout excess at the lowest admissible top prize that still counts as
-# a match in hold_budget and taxed_wta; any larger excess is infeasible
-_BUDGET_TOL = 1e-8
 _CROSSOVER_MAX_ITER = 60
 _NOISE_TOL = 1e-7  # lead over winner-take-all that counts as a violation
+_EPS = float(np.finfo(float).eps)
 
 
 def _default_step(rewards: RewardVector) -> float:
@@ -237,16 +239,20 @@ def attention_certificate(
 # budget-matched perturbations
 
 
-def _match_budget(u, v, lo, cost, target, tol, start=None):
+def _match_budget(u, v, lo, cost, target, start=None):
     """The theta >= ``lo`` at which the schedule u + theta * v pays
     ``target`` in equilibrium.
 
-    Returns ``lo`` when its schedule already pays within ``tol`` of the
-    target and None when it overpays by more; the payout rises with
-    theta, so no larger theta can match then.  Otherwise the search runs
-    in the entry probability p, on [p at ``lo``, 1], from ``start``.
-    With T(p) the tails P(Binomial(n, p) >= k), k = 1..n, and B_c(p) the
-    degree n-1 Bernstein sum of c, the budget fixes theta in closed form,
+    The payout rises with theta, so the floor schedule u + lo * v
+    decides feasibility: it returns ``lo`` when that schedule already
+    pays the target and raises :class:`DomainError` when it overpays.
+    Both are judged against the payout's own rounding noise, a few ulps
+    per prize of the larger of the target and the floor's prizes, so a
+    match means the same at every prize scale.  Otherwise the search
+    runs in the entry probability p, on [p at ``lo``, 1], from
+    ``start``.  With T(p) the tails P(Binomial(n, p) >= k), k = 1..n,
+    and B_c(p) the degree n-1 Bernstein sum of c, the budget fixes theta
+    in closed form,
 
         theta(p) = (target - u.T(p)) / (v.T(p)),
 
@@ -257,15 +263,22 @@ def _match_budget(u, v, lo, cost, target, tol, start=None):
     from the indifference condition instead would divide by
     B_v = (1-p)**(n-1) for the top-prize families, which is tiny at high
     p and underflows at large n.  F(1) <= 0 is full entry, where theta
-    is closed form.
+    is closed form.  A search that fails to converge raises
+    :class:`ConvergenceError`.
     """
-    floor = solve(RewardVector(tuple(u + lo * v)), cost)
-    excess = expected_budget(floor) - target
-    if excess > tol:
-        return None
-    if abs(excess) <= tol:
-        return lo
     n = u.size
+    prizes = u + lo * v
+    floor = solve(RewardVector(tuple(prizes)), cost)
+    paid = expected_budget(floor)
+    # rounding noise of a payout: a sum of n prizes times tail odds
+    noise = 4.0 * n * _EPS * max(abs(target), np.max(np.abs(prizes)))
+    if paid - target > noise:
+        raise DomainError(
+            f"budget match infeasible: the lowest admissible schedule already "
+            f"pays {paid:.10g}, above the target {target:.10g}"
+        )
+    if paid - target >= -noise:
+        return lo
     c0 = cost.entry_cost
     full = (target - u.sum()) / v.sum()
     if c0 - u[-1] - full * v[-1] <= 0.0:
@@ -286,8 +299,11 @@ def _match_budget(u, v, lo, cost, target, tol, start=None):
 
     # rounding noise of the residual: at the root the benefit is c(0),
     # and only the tail prizes in u can make its terms larger
-    noise = 4.0 * n * np.finfo(float).eps * max(c0, np.max(np.abs(u)))
-    p = bracketed_root(residual, floor.p, 1.0, ftol=noise, start=start)
+    ftol = 4.0 * n * _EPS * max(c0, np.max(np.abs(u)))
+    try:
+        p = bracketed_root(residual, floor.p, 1.0, ftol=ftol, start=start)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"budget match did not converge: {exc}") from exc
     return float(theta(tail_vector(n, p)[1:]))
 
 
@@ -299,7 +315,8 @@ def hold_budget(
 
     Identity re-pricing returns the input unchanged.  Raises
     :class:`DomainError` when the new schedule would overpay even with
-    its top prize just above the rank-2 prize.
+    its top prize just above the rank-2 prize, 1e-12 of the schedule's
+    largest prize above it.
     """
     n = rewards.n
     if not 2 <= rank <= n:
@@ -323,18 +340,9 @@ def hold_budget(
     repriced = rewards.replace(rank, new_value)
     tail = repriced.as_array()
     tail[0] = 0.0
-    floor = repriced.prizes[1]
-    lo = floor + max(1e-12, 1e-12 * abs(floor))
+    lo = repriced.prizes[1] + 1e-12 * np.max(np.abs(repriced.as_array()))
     target = expected_budget(base_sol)
-    try:
-        a1 = _match_budget(tail, np.eye(1, n)[0], lo, cost, target, _BUDGET_TOL, base_sol.p)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"budget match did not converge: {exc}") from exc
-    if a1 is None:
-        raise DomainError(
-            "budget match infeasible: the top prize would have to fall to "
-            "the rank-2 prize or below"
-        )
+    a1 = _match_budget(tail, np.eye(1, n)[0], lo, cost, target, base_sol.p)
     result = repriced.replace(1, a1)
     if result.prizes[0] <= result.prizes[1]:
         raise DomainError("budget match pushed the top prize to rank 2 or below")
@@ -489,19 +497,9 @@ def taxed_wta(n: int, prize: float, tax: float, cost: CostModel) -> RewardVector
     base_sol = solve(base, cost)
     tail = np.full(n, -float(tax))
     tail[0] = 0.0
-    lo = cost.entry_cost * (1.0 + 1e-12) + 1e-300
+    lo = cost.entry_cost * (1.0 + 1e-12)
     target = expected_budget(base_sol)
-    try:
-        a1 = _match_budget(tail, np.eye(1, n)[0], lo, cost, target, _BUDGET_TOL, base_sol.p)
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"taxed winner-take-all budget match did not converge: {exc}"
-        ) from exc
-    if a1 is None:
-        raise DomainError(
-            "no feasible taxed schedule: the required top prize would fall "
-            "to the entry cost, where participation vanishes"
-        )
+    a1 = _match_budget(tail, np.eye(1, n)[0], lo, cost, target, base_sol.p)
     return RewardVector((a1,) + (-float(tax),) * (n - 1))
 
 
@@ -546,13 +544,10 @@ def tax_sweep(
 
 
 def wta_prize_for_budget(n: int, budget: float, cost: CostModel) -> float:
-    """Top prize making winner-take-all's expected payout equal ``budget``."""
-    if not budget > 0.0:
-        raise DomainError("budget must be positive")
-    c0 = cost.entry_cost
-    lo = c0 + max(1e-9, 1e-9 * c0)
-    a1 = _match_budget(np.zeros(n), np.eye(1, n)[0], lo, cost, budget, 1e-10)
-    return lo if a1 is None else a1
+    """Top prize making winner-take-all's expected payout equal
+    ``budget``: :func:`rescale_to_budget` of ``winner_take_all(n, 1)``,
+    with its failure rule."""
+    return rescale_to_budget(winner_take_all(n, 1.0), cost, budget).top
 
 
 def rescale_to_budget(
@@ -561,19 +556,18 @@ def rescale_to_budget(
     """Scale a whole schedule by one multiplier to hit a target payout.
 
     Scaling preserves monotonicity, and the payout grows continuously
-    and strictly once the top prize clears the entry cost, so a root
-    always exists for positive budgets.
+    and strictly with the multiplier once the top prize clears the
+    entry cost.  The smallest multiplier tried is 1e-12: raises
+    :class:`DomainError` when the schedule at that scale already pays
+    more than ``budget``, which happens only when c(0) is below 1e-12 of
+    the top prize.  The match is exact to rounding at any prize scale.
     """
     if not budget > 0.0:
         raise DomainError("budget must be positive")
     if not rewards.top > 0.0:
         raise DomainError("rescaling needs a positive top prize")
     a = rewards.as_array()
-    m = _match_budget(np.zeros_like(a), a, 1e-12, cost, budget, 1e-10)
-    if m is None:
-        raise ConvergenceError(
-            "root not bracketed: the payout at scale 1e-12 already exceeds the budget"
-        )
+    m = _match_budget(np.zeros_like(a), a, 1e-12, cost, budget)
     return RewardVector(tuple(a * m))
 
 

@@ -5,7 +5,8 @@ import math
 from .errors import ConvergenceError
 
 _MAX_ITER = 100
-# a Newton step or bracket this many ulps wide ends the iteration
+# a Newton step or bracket this many ulps of its ends wide ends the
+# iteration
 _STOP_ULPS = 4.0
 _EPS = 2.0**-52
 
@@ -19,10 +20,13 @@ def bracketed_root(g, lo: float, hi: float, *, ftol: float, start: float | None 
     shrinking the bracket to the side the root lies on and bisecting
     wherever a step would leave it or the slope is not positive.  It
     ends with the step taken from the first point where |g| <= ftol, or
-    once a step or the bracket is a few ulps wide.  Raises
+    once a step or the bracket is a few ulps of the bracket's ends wide,
+    so a root near 1e-13 is resolved as finely as one near 1/2.  Raises
     :class:`ConvergenceError` on a value that is not finite, or if
-    neither happens within a fixed number of steps; bisection alone
-    reaches the stopping width in about 55.
+    neither happens within a fixed number of steps; from a bracket
+    [0, 1], bisection alone reaches the stopping width around a root r
+    in about 51 + log2(1/r) steps, so roots above about 1e-14 are in
+    reach.
     """
     x = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
     for _ in range(_MAX_ITER):
@@ -39,7 +43,7 @@ def bracketed_root(g, lo: float, hi: float, *, ftol: float, start: float | None 
             return guess if inside else x
         if not inside:
             guess = 0.5 * (lo + hi)
-        xtol = _STOP_ULPS * _EPS * max(1.0, abs(lo), abs(hi))
+        xtol = _STOP_ULPS * _EPS * max(abs(lo), abs(hi))
         if abs(guess - x) <= xtol or hi - lo <= xtol:
             return guess
         x = guess

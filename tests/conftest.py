@@ -304,7 +304,7 @@ def oracle_hold_budget(rewards, cost, rank, new_value):
     repriced = rewards.replace(rank, new_value)
     tail = repriced.prizes[1:]
     gap = payout_gap(lambda a1: RewardVector((a1,) + tail), cost, target)
-    lo = tail[0] + max(1e-12, 1e-12 * abs(tail[0]))
+    lo = tail[0] + 1e-12 * np.max(np.abs(repriced.as_array()))
     g_lo = gap(lo)
     if g_lo > BUDGET_TOL:
         raise DomainError("budget match infeasible")

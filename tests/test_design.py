@@ -25,6 +25,7 @@ from rankcontest import (
     reward_sensitivity,
     solve,
     tax_sweep,
+    taxed_wta,
     winner_take_all,
     wta_dominance_trial,
     wta_prize_for_budget,
@@ -307,11 +308,12 @@ class TestHoldBudget:
 
     def test_no_entry_base_returns_floor(self):
         # a base nobody enters pays 0; the floor schedule pays 0 as well,
-        # so the lowest admissible top prize is the match
+        # so the lowest admissible top prize, 1e-12 of the largest prize
+        # above rank 2, is the match
         base = RewardVector((0.2, 0.1, 0.0))
         assert solve(base, COST).p == 0.0
         out = hold_budget(base, COST, 2, 0.05)
-        assert out.prizes == (0.05 + 1e-12, 0.05, 0.0)
+        assert out.prizes == (0.05 + 0.2e-12, 0.05, 0.0)
         assert out == oracle_hold_budget(base, COST, 2, 0.05)
 
     def test_full_entry_tail_is_closed_form(self):
@@ -337,7 +339,7 @@ class TestHoldBudget:
 
     def test_top_prize_floor(self):
         base = winner_take_all(3, 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="budget match infeasible"):
             hold_budget(base, COST, 2, 1.0)
 
     def test_rank_one_rejected(self):
@@ -577,6 +579,60 @@ class TestBudgetHelpers:
             gap = payout_gap(lambda m: base.as_array() * m, cost, budget)
             old = illinois_root(gap, 1e-12, 1.0, ftol=1e-10)
             assert abs(scale - old) <= 1e-9 * max(1.0, old)
+
+
+def scaled_matches(family, s):
+    """Each budget matcher's schedule and target payout with every prize
+    and c(0) multiplied by ``s``."""
+    if family == "linear":
+        cost = LinearCost(c0=0.25 * s, slope=1.0)
+    else:
+        cost = QuadraticPlusCost(c0=0.1 * s, a=1.0, b=2.0)
+    base = RewardVector(tuple(np.array([1.0, 0.6, 0.0]) * s))
+    paid = expected_budget(solve(base, cost))
+    wta_paid = expected_budget(solve(winner_take_all(3, s), cost))
+    schedules = (
+        (hold_budget(base, cost, 2, 0.5 * s), paid),
+        (taxed_wta(3, s, 0.05 * s, cost), wta_paid),
+        (winner_take_all(3, wta_prize_for_budget(3, 0.3 * s, cost)), 0.3 * s),
+        (rescale_to_budget(base, cost, 0.3 * s), 0.3 * s),
+    )
+    return cost, schedules
+
+
+class TestBudgetMatchRule:
+    @pytest.mark.parametrize("s", [1e-9, 1e-6, 1e6])
+    @pytest.mark.parametrize("family", ["linear", "quad"])
+    def test_matches_scale_with_the_prizes(self, family, s):
+        # scaling every prize and c(0) leaves p alone and scales the
+        # payout, so each match is the unit-scale match times s
+        _, unit = scaled_matches(family, 1.0)
+        cost, scaled = scaled_matches(family, s)
+        for (rewards, target), (ref, _) in zip(scaled, unit):
+            np.testing.assert_allclose(
+                rewards.prizes, np.asarray(ref.prizes) * s, rtol=1e-12, atol=0.0
+            )
+            paid = expected_budget(solve(rewards, cost))
+            assert abs(paid - target) <= 1e-12 * target
+
+    def test_tiny_budget_is_paid(self):
+        # the top prize sits 7e-13 above c(0) = 1, where one ulp of it
+        # moves the payout by about 3e-16: 1e-3 of the budget is the
+        # resolution of doubles there
+        cost = ExponentialCost(k=1.0)
+        prize = wta_prize_for_budget(3, 1e-12, cost)
+        paid = expected_budget(solve(winner_take_all(3, prize), cost))
+        assert abs(paid - 1e-12) <= 1e-3 * 1e-12
+
+    @pytest.mark.parametrize(
+        "prizes, budget", [((1.0, 0.5, 0.0), 1e-14), ((1000.0, 500.0, 0.0), 1e-12)]
+    )
+    def test_overpaying_floor_is_infeasible(self, prizes, budget):
+        # with c(0) = 0 everyone enters, so the schedule at the smallest
+        # multiplier, 1e-12, already pays 1e-12 of the prize sum
+        cost = LinearCost(c0=0.0, slope=1.0)
+        with pytest.raises(DomainError, match="budget match infeasible"):
+            rescale_to_budget(RewardVector(prizes), cost, budget)
 
 
 class TestAvgSignVsBudget:

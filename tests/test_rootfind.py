@@ -101,6 +101,22 @@ def test_newton_bisects_without_a_usable_slope():
         assert len(points) <= 60
 
 
+@pytest.mark.parametrize(
+    "g, root",
+    [
+        # bisection alone: no usable slope
+        (with_slope(lambda x: x - 1e-10, lambda x: 0.0), 1e-10),
+        # Newton, halving its way down from the midpoint
+        (with_slope(lambda x: x * x - 1e-26, lambda x: 2.0 * x), 1e-13),
+    ],
+    ids=["bisection", "newton"],
+)
+def test_tiny_root_resolved_to_relative_precision(g, root):
+    # the stopping width is a few ulps of the bracket's ends, not of 1
+    x = bracketed_root(g, 0.0, 1.0, ftol=0.0)
+    assert abs(x - root) <= 1e-14 * root
+
+
 def test_newton_refuses_a_value_that_is_not_finite():
     for bad in (float("nan"), float("inf")):
         g, points = recorded(lambda x, bad=bad: (bad, 1.0))
