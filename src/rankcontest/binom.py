@@ -28,7 +28,8 @@ That holds 3m+2 floats per point, about 3 MB at m = 999 and ``_WALK``
 points.  At degree 2 or less the loop has only a step or two, fewer
 calls than the walk, and takes every block.  :func:`tail_vector` needs
 every mass at one point, for the budget and the rank odds, and takes
-them from one cumulative product.
+them from the walk's cumulative product, so its tails are the
+kernel's masses summed from the right, to the bit.
 """
 
 import numpy as np
@@ -48,16 +49,8 @@ _LOOP_DEGREE = 2
 def tail_vector(m: int, x: float) -> np.ndarray:
     """T[k] = P(Binomial(m, x) >= k) for k = 0..m, with x in [0, 1]."""
     far = x > 0.5
-    y = 1.0 - x if far else x
-    # the walk t_{i+1} = t_i * (m-i)/(i+1) * ratio as one product over
-    # the interleaved factors start, (m-0)/1, ratio, (m-1)/2, ratio, ...;
-    # every other partial product is a mass.  The start is an array
-    # power: a Python float power can differ from it in the last bit.
-    factors = np.empty(2 * m + 1)
-    factors[0] = ((1.0 - np.array([y])) ** m)[0]
-    factors[1::2] = np.arange(m, 0, -1) / np.arange(1, m + 1)
-    factors[2::2] = y / (1.0 - y)
-    pmf = np.cumprod(factors)[::2]
+    y = np.array([1.0 - x if far else x])
+    pmf = _masses(y, y / (1.0 - y), m)[0]
     if far:
         pmf = pmf[::-1]
     return np.cumsum(pmf[::-1])[::-1]
@@ -112,16 +105,7 @@ def _walk_degrees(rows, far, y, ratio, sums):
     """Write one block's sums with the degree axis walked inside numpy:
     the products of :func:`_loop_degrees` in the same order, then the
     same left-to-right sums, so the bits agree."""
-    m = rows.shape[1] - 1
-    # per point: start, ratio, (m-0)/1, ratio, (m-1)/2, ..., the order in
-    # which the loop multiplies them, so every other partial product is
-    # a mass
-    f = np.empty((y.size, 2 * m + 1))
-    f[:, 0] = (1.0 - y) ** m
-    f[:, 1::2] = ratio[:, None]
-    f[:, 2::2] = np.arange(m, 0, -1) / np.arange(1, m + 1)
-    np.multiply.accumulate(f, axis=1, out=f)
-    masses = f[:, ::2]
+    masses = _masses(y, ratio, rows.shape[1] - 1)
     # one buffer of m+1 floats per point serves every row; an array for
     # all rows at once costs more memory and, freshly mapped, page faults
     terms = np.empty_like(masses)
@@ -131,3 +115,18 @@ def _walk_degrees(rows, far, y, ratio, sums):
         terms *= masses
         np.add.accumulate(terms, axis=1, out=terms)
         row[...] = terms[:, -1]
+
+
+def _masses(y, ratio, m):
+    """The masses t_0..t_m at each point of ``y`` (all at most 1/2), one
+    row per point, walked upward from (1-y)**m in one cumulative
+    product."""
+    # per point: start, ratio, (m-0)/1, ratio, (m-1)/2, ..., the order in
+    # which the loop multiplies them, so every other partial product is
+    # a mass
+    f = np.empty((y.size, 2 * m + 1))
+    f[:, 0] = (1.0 - y) ** m
+    f[:, 1::2] = ratio[:, None]
+    f[:, 2::2] = np.arange(m, 0, -1) / np.arange(1, m + 1)
+    np.multiply.accumulate(f, axis=1, out=f)
+    return f[:, ::2]

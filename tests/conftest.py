@@ -100,7 +100,7 @@ def pmf_matrix(m, x):
         t = (1.0 - xu) ** m
         out[0, up] = t
         for i in range(m):
-            t = t * ((m - i) / (i + 1)) * ratio
+            t = t * ratio * ((m - i) / (i + 1))
             out[i + 1, up] = t
     down = interior & (x > 0.5)
     if np.any(down):
@@ -109,7 +109,7 @@ def pmf_matrix(m, x):
         t = xd**m
         out[m, down] = t
         for i in range(m, 0, -1):
-            t = t * (i / (m - i + 1)) * ratio
+            t = t * ratio * (i / (m - i + 1))
             out[i - 1, down] = t
     return out
 

@@ -137,6 +137,16 @@ def test_tail_vector_matches_mass_matrix_exactly(m, drawn):
         assert np.array_equal(tail_vector(m, float(x)), matrix_tails(m, x))
 
 
+def test_tail_vector_sums_the_kernels_masses():
+    # one mass recurrence: the tails are the unit rows' Bernstein sums,
+    # summed from the right, to the bit
+    rng = np.random.default_rng(13)
+    cases = [(int(m), float(x)) for m, x in zip(rng.integers(0, 301, 200), rng.random(200))]
+    for m, x in cases + [(m, x) for m in (0, 1, 2, 3, 300) for x in EDGE_POINTS]:
+        masses = bernstein(np.eye(m + 1), x)
+        assert np.array_equal(tail_vector(m, x), np.cumsum(masses[::-1])[::-1])
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS)
 def test_benefit_and_slope_match_matrix_route(seed):
