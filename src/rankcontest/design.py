@@ -15,11 +15,10 @@ fixed, mirroring the question a designer with a fixed purse actually
 faces.  ``hold_budget``, ``taxed_wta``, ``wta_prize_for_budget`` and
 ``rescale_to_budget`` share one matcher, which searches the entry
 probability rather than the prize: every step is closed form, with no
-equilibrium re-solved inside the search.  It has one failure rule: a
-request whose schedule overpays even at the lowest admissible top
-prize or scale raises :class:`DomainError`.  Feasibility and
-convergence are judged against the payout's own rounding noise, so the
-matches scale with the prizes, exactly to rounding.  The rest of the
+equilibrium re-solved inside the search, and one failure rule: a
+schedule that overpays even at its lowest admissible top prize or
+scale raises :class:`DomainError`.  The match involves no absolute
+tolerance, so its results scale with the prizes.  The rest of the
 module builds sweeps and trials on top of them.
 """
 
@@ -243,16 +242,13 @@ def _match_budget(u, v, lo, cost, target, start=None):
     """The theta >= ``lo`` at which the schedule u + theta * v pays
     ``target`` in equilibrium.
 
-    The payout rises with theta, so the floor schedule u + lo * v
-    decides feasibility: it returns ``lo`` when that schedule already
-    pays the target and raises :class:`DomainError` when it overpays.
-    Both are judged against the payout's own rounding noise, a few ulps
-    per prize of the larger of the target and the floor's prizes, so a
-    match means the same at every prize scale.  Otherwise the search
-    runs in the entry probability p, on [p at ``lo``, 1], from
-    ``start``.  With T(p) the tails P(Binomial(n, p) >= k), k = 1..n,
-    and B_c(p) the degree n-1 Bernstein sum of c, the budget fixes theta
-    in closed form,
+    The payout rises with theta: returns ``lo`` when its schedule already
+    pays the target and raises :class:`DomainError` when it overpays,
+    both judged against the payout's rounding noise, so a match means
+    the same at every prize scale.  Otherwise the search runs in the
+    entry probability p, on [p at ``lo``, 1], from ``start``.  With T(p)
+    the tails P(Binomial(n, p) >= k), k = 1..n, and B_c(p) the degree
+    n-1 Bernstein sum of c, the budget fixes theta in closed form,
 
         theta(p) = (target - u.T(p)) / (v.T(p)),
 
@@ -263,8 +259,7 @@ def _match_budget(u, v, lo, cost, target, start=None):
     from the indifference condition instead would divide by
     B_v = (1-p)**(n-1) for the top-prize families, which is tiny at high
     p and underflows at large n.  F(1) <= 0 is full entry, where theta
-    is closed form.  A search that fails to converge raises
-    :class:`ConvergenceError`.
+    is closed form.
     """
     n = u.size
     prizes = u + lo * v
@@ -315,8 +310,7 @@ def hold_budget(
 
     Identity re-pricing returns the input unchanged.  Raises
     :class:`DomainError` when the new schedule would overpay even with
-    its top prize just above the rank-2 prize, 1e-12 of the schedule's
-    largest prize above it.
+    its top prize 1e-12 of its largest prize above the rank-2 prize.
     """
     n = rewards.n
     if not 2 <= rank <= n:
@@ -556,11 +550,9 @@ def rescale_to_budget(
     """Scale a whole schedule by one multiplier to hit a target payout.
 
     Scaling preserves monotonicity, and the payout grows continuously
-    and strictly with the multiplier once the top prize clears the
-    entry cost.  The smallest multiplier tried is 1e-12: raises
-    :class:`DomainError` when the schedule at that scale already pays
-    more than ``budget``, which happens only when c(0) is below 1e-12 of
-    the top prize.  The match is exact to rounding at any prize scale.
+    and strictly once the top prize clears the entry cost.  Raises
+    :class:`DomainError` when the schedule scaled by 1e-12 already pays
+    more than ``budget``, which needs c(0) below 1e-12 of the top prize.
     """
     if not budget > 0.0:
         raise DomainError("budget must be positive")

@@ -5,8 +5,7 @@ import math
 from .errors import ConvergenceError
 
 _MAX_ITER = 100
-# a Newton step or bracket this many ulps of its ends wide ends the
-# iteration
+# a Newton step or bracket this many ulps of its ends wide stops it
 _STOP_ULPS = 4.0
 _EPS = 2.0**-52
 
@@ -20,13 +19,11 @@ def bracketed_root(g, lo: float, hi: float, *, ftol: float, start: float | None 
     shrinking the bracket to the side the root lies on and bisecting
     wherever a step would leave it or the slope is not positive.  It
     ends with the step taken from the first point where |g| <= ftol, or
-    once a step or the bracket is a few ulps of the bracket's ends wide,
-    so a root near 1e-13 is resolved as finely as one near 1/2.  Raises
+    once a step or the bracket is a few ulps of its ends wide, so a root
+    near 1e-13 is resolved as finely as one near 1/2.  Raises
     :class:`ConvergenceError` on a value that is not finite, or if
-    neither happens within a fixed number of steps; from a bracket
-    [0, 1], bisection alone reaches the stopping width around a root r
-    in about 51 + log2(1/r) steps, so roots above about 1e-14 are in
-    reach.
+    neither happens within a fixed number of steps; bisection alone
+    from [0, 1] stops near a root r in about 51 + log2(1/r).
     """
     x = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
     for _ in range(_MAX_ITER):
