@@ -333,8 +333,8 @@ def hold_budget(
     base_sol = solve(rewards, cost)
     repriced = rewards.replace(rank, new_value)
     tail = repriced.as_array()
+    lo = tail[1] + 1e-12 * np.max(np.abs(tail))
     tail[0] = 0.0
-    lo = repriced.prizes[1] + 1e-12 * np.max(np.abs(repriced.as_array()))
     target = expected_budget(base_sol)
     a1 = _match_budget(tail, np.eye(1, n)[0], lo, cost, target, base_sol.p)
     result = repriced.replace(1, a1)
