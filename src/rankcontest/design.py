@@ -553,13 +553,20 @@ def rescale_to_budget(
     and strictly once the top prize clears the entry cost.  Raises
     :class:`DomainError` when the schedule scaled by 1e-12 already pays
     more than ``budget``, which needs c(0) below 1e-12 of the top prize.
+
+    The search starts at the small-p root of the indifference residual,
+    p = budget / (n c(0)): near p = 0 the scaled payout is about
+    n p theta a_1 and the benefit about theta a_1, so the residual
+    c(0) - budget B_a / (a.T) vanishes there.
     """
     if not budget > 0.0:
         raise DomainError("budget must be positive")
     if not rewards.top > 0.0:
         raise DomainError("rescaling needs a positive top prize")
     a = rewards.as_array()
-    m = _match_budget(np.zeros_like(a), a, 1e-12, cost, budget)
+    c0 = cost.entry_cost
+    start = budget / (a.size * c0) if c0 > 0.0 else None
+    m = _match_budget(np.zeros_like(a), a, 1e-12, cost, budget, start)
     return RewardVector(tuple(a * m))
 
 

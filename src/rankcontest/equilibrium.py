@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binom import bernstein
+from .binom import _WALK, bernstein
 from .costs import CostModel
 from .errors import DomainError, StateError
 from .mechanism import RewardVector
@@ -58,10 +58,22 @@ REGIME_FULL = "full"
 _X_SLACK = 1e-12
 _EPS = float(np.finfo(float).eps)
 # Benefit inversion: a step or bracket within _STOP_ULPS ulps of [0, hi]
-# ends the iteration; the starting table has _TABLE_NODES nodes, which
-# leaves about five Newton steps per point at n <= 200; bisection alone
-# would get from one cell to the stopping width in about 46 steps, well
-# inside _NEWTON_CAP.
+# ends the iteration.  A pressure query starts each target on a table of
+# the benefit and its slope at _WALK nodes (the kernel's walk block,
+# past which the table would leave the walk): a node costs the kernel
+# work of one target's Newton pass, and from it a target takes about 2
+# passes (a start not already at the root needs 2), against 3.3 to 3.5
+# from a linear start on _TABLE_NODES nodes, at every degree from 2 to
+# 999.  The table depends on the contest alone, so a point's pressure
+# does not depend on the points queried with it; a query of a few points
+# pays for the whole table.  The one target of an entry probability
+# keeps the table of the benefit alone at _TABLE_NODES nodes and the
+# linear start: a 7-node table with slopes saves it at most a third of a
+# pass, but the Hermite start's numpy calls cost more time than that
+# (about 5% of a solve at n <= 10), and a larger one also costs more
+# arithmetic than it saves.  Bisection alone would get from one cell of
+# that table to the stopping width in about 46 steps, well inside
+# _NEWTON_CAP.
 _STOP_ULPS = 4.0
 _TABLE_NODES = 17
 _NEWTON_CAP = 100
@@ -100,18 +112,68 @@ def benefit_slope(x, rewards: RewardVector):
     return float(out[0]) if scalar else out
 
 
-def _invert_benefit(targets: np.ndarray, rewards: RewardVector, hi: float) -> np.ndarray:
+def _start(t, nodes, table, slope=None):
+    """Start and bracket (x, lo, up) of each target strictly inside the
+    table's range, on the table cell that brackets it: the linear
+    interpolate, or with ``slope`` (benefit' at the nodes) the cubic
+    Hermite interpolate of the inverse x(f) with end slopes 1 / benefit'
+    where that is finite and inside the open cell (a zero slope at a
+    tie is not)."""
+    cell = np.searchsorted(-table, -t)
+    up, below = nodes[cell], table[cell]
+    cell -= 1
+    lo = nodes[cell]
+    # the linear start: the target's share s in (0, 1] of its cell's
+    # drop in benefit
+    s = table[cell] - t
+    drop = table[cell] - below
+    del below
+    width = up - lo
+    x = width * s
+    x /= drop
+    x += lo
+    if slope is None:
+        return x, lo, up
+    s /= drop
+    del drop
+    # per cell, the inverse's end slopes over its chord's, less 1: the
+    # cubic is the chord plus s (1 - s) ((1 - s) bend0 - s bend1)
+    chord = (table[:-1] - table[1:]) / (nodes[1:] - nodes[:-1])
+    bend0 = chord / -slope[:-1] - 1.0
+    bend1 = chord / -slope[1:] - 1.0
+    r = 1.0 - s
+    bend = bend0[cell] * r
+    bend -= bend1[cell] * s
+    del cell
+    bend *= r
+    bend *= s
+    del r, s
+    bend *= width
+    bend += x
+    np.copyto(x, bend, where=(bend > lo) & (bend < up))
+    return x, lo, up
+
+
+def _invert_benefit(
+    targets: np.ndarray, rewards: RewardVector, hi: float, hermite: bool = True
+) -> np.ndarray:
     """Solve expected_benefit(x) = target on [0, hi] for each target.
 
     Targets outside the attainable range clamp to the nearer endpoint.
-    Each other target starts in the cell of a coarse table of the
-    benefit that brackets it, at the linear interpolate, and runs a
-    safeguarded Newton iteration inside its own bracket [lo, up] with
-    benefit(lo) > target > benefit(up): a step that would leave the
-    bracket is replaced by bisection.  A point stops once its step or
-    its bracket is a few ulps of [0, hi] wide, or once its residual is
-    down to rounding noise and one last short Newton step refines it;
-    the iteration cap bounds the work either way.
+    Each other target starts in the cell of a table that brackets it.
+    With ``hermite`` the table holds the benefit and its slope at _WALK
+    equally spaced nodes, from the same two sums as each Newton step,
+    and the start is the cubic Hermite interpolate of the inverse on
+    the cell; prizes that fall by equal steps make the benefit linear,
+    and the linear interpolate between its two ends is then every
+    target's exact start.  Without it the table holds the benefit at
+    _TABLE_NODES nodes and the start is the linear interpolate (see
+    :func:`_start`).  The target then runs a safeguarded Newton iteration inside its own bracket
+    [lo, up] with benefit(lo) > target > benefit(up): a step that would
+    leave the bracket is replaced by bisection.  A point stops once its
+    step or its bracket is a few ulps of [0, hi] wide, or once its
+    residual is down to rounding noise and one last short Newton step
+    refines it; the iteration cap bounds the work either way.
     """
     a = rewards.as_array()
     m = rewards.n - 1
@@ -148,22 +210,32 @@ def _invert_benefit(targets: np.ndarray, rewards: RewardVector, hi: float) -> np
         np.copyto(x, moved, where=inside | ~settled)
         return done
 
-    nodes = np.linspace(0.0, hi, _TABLE_NODES)
-    # the running minimum keeps the table sorted where rounding makes a
-    # flat stretch wiggle, so every cell found below brackets its target
-    table = np.minimum.accumulate(bernstein(a, nodes))
-    out = np.empty_like(targets)
-    out[targets >= table[0]] = 0.0
-    out[targets <= table[-1]] = hi
-    idx = np.flatnonzero((targets < table[0]) & (targets > table[-1]))
-    t = targets[idx]
-    cell = np.searchsorted(-table, -t)
-    lo, up = nodes[cell - 1], nodes[cell]
-    x = lo + (up - lo) * (table[cell - 1] - t) / (table[cell - 1] - table[cell])
-    del cell  # one int per point fewer while the kernel passes run
-    # a zero slope (a flat benefit) makes an infinite or undefined step,
-    # which the bracket test then turns into bisection
+    # a zero slope (a flat benefit) makes an infinite or undefined bend
+    # or step, which _start and newton_step then turn into the linear
+    # start or bisection
     with np.errstate(divide="ignore", invalid="ignore"):
+        if hermite:
+            # prize steps equal to within the noise leave the benefit
+            # linear to it, and the chord between its ends is then the
+            # exact start
+            curved = np.ptp(np.diff(a)) > noise
+            nodes = np.linspace(0.0, hi, _WALK if curved else 2)
+            s0, s1 = bernstein(pairs, nodes)
+            s1 -= s0
+            values, slope = nodes * s1 + s0, m * s1 if curved else None
+        else:
+            nodes = np.linspace(0.0, hi, _TABLE_NODES)
+            values, slope = bernstein(a, nodes), None
+        # the running minimum keeps the table sorted where rounding makes
+        # a flat stretch wiggle, so every cell found below brackets its
+        # target
+        table = np.minimum.accumulate(values)
+        out = np.empty_like(targets)
+        out[targets >= table[0]] = 0.0
+        out[targets <= table[-1]] = hi
+        idx = np.flatnonzero((targets < table[0]) & (targets > table[-1]))
+        t = targets[idx]
+        x, lo, up = _start(t, nodes, table, slope)
         for _ in range(_NEWTON_CAP):
             if idx.size == 0:
                 break
@@ -188,7 +260,7 @@ def participation_probability(rewards: RewardVector, cost: CostModel) -> float:
         return 0.0
     if rewards.last >= c0:
         return 1.0
-    return float(_invert_benefit(np.array([c0]), rewards, 1.0)[0])
+    return float(_invert_benefit(np.array([c0]), rewards, 1.0, hermite=False)[0])
 
 
 def payoff_shift(rewards: RewardVector, cost: CostModel) -> float:

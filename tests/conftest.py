@@ -18,6 +18,7 @@ from rankcontest import (
     rank_probability,
     solve,
 )
+from rankcontest import equilibrium
 from rankcontest.design import _default_step
 from rankcontest.equilibrium import REGIME_NO_ENTRY
 from rankcontest.montecarlo import (
@@ -46,6 +47,38 @@ def golden_interior():
 def golden_full():
     """n=2, prizes (1, 0.5), c(q)=q+0.25: full participation regime."""
     return solve(RewardVector((1.0, 0.5)), GOLDEN_COST)
+
+
+class KernelWork:
+    """Work of the Bernstein kernel as called from the equilibrium
+    module: rows x points x degree, summed over calls."""
+
+    def __init__(self):
+        self.units = 0
+        self.calls = 0
+
+    def reset(self):
+        self.units = 0
+        self.calls = 0
+
+
+@pytest.fixture
+def kernel_work(monkeypatch):
+    """Counts every ``equilibrium.bernstein`` call's rows x points x
+    degree while the test runs.  The count depends only on the inputs,
+    so a test can pin the work of an inversion exactly."""
+    work = KernelWork()
+    kernel = equilibrium.bernstein
+
+    def counted(coeffs, x):
+        c = np.asarray(coeffs)
+        rows = 1 if c.ndim == 1 else c.shape[0]
+        work.units += rows * np.size(x) * (c.shape[-1] - 1)
+        work.calls += 1
+        return kernel(coeffs, x)
+
+    monkeypatch.setattr(equilibrium, "bernstein", counted)
+    return work
 
 
 def random_cost(rng):

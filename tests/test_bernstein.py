@@ -19,6 +19,7 @@ from rankcontest.binom import (
 )
 from rankcontest.equilibrium import _invert_benefit
 from conftest import (
+    GOLDEN_COST,
     bisect_benefit,
     matrix_benefit,
     matrix_slope,
@@ -241,3 +242,80 @@ def test_exact_top_ties(seed, ties, n):
     residual = np.abs(matrix_benefit(got, rewards) - targets)
     oracle_residual = np.abs(matrix_benefit(oracle, rewards) - targets)
     assert np.all(residual <= oracle_residual + 2.0 * noise)
+
+
+def interior_contest(n, seed):
+    """A contest at n ranks whose entry probability lies inside (0, 1)."""
+    rng = np.random.default_rng(seed)
+    while True:
+        cost = random_cost(rng)
+        rewards = random_rewards(rng, n, cost, full_share=0.0)
+        if rewards.last < cost.entry_cost < rewards.top:
+            return rewards, cost, rng
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 200, 1000])
+def test_inversion_matches_oracle_at_every_target_count(n):
+    # the entry probability's one target and pressure batches of every
+    # size the starting table meets: 1, 2, m, m+1, 129 and 1,024
+    rewards, cost, rng = interior_contest(n, seed=n)
+    sol = solve(rewards, cost)
+    assert abs(sol.p - bisect_benefit([cost.entry_cost], rewards, 1.0)[0]) <= 1e-12
+    q = rng.uniform(0.0, sol.qbar, 1024)
+    oracle = bisect_benefit(np.asarray(cost.value(q)) + sol.shift, rewards, sol.p)
+    for count in (1, 2, n - 1, n, 129, 1024):
+        assert np.max(np.abs(sol.pressure(q[:count]) - oracle[:count])) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 10, 200, 1000])
+def test_pressure_does_not_depend_on_batch(n):
+    # every pressure query starts from the same table, so a point gets
+    # the same bits alone and among any other points
+    rewards, cost, rng = interior_contest(n, seed=n + 1)
+    sol = solve(rewards, cost)
+    q = rng.uniform(0.0, sol.qbar, 1024)
+    batch = sol.pressure(q)
+    for size in (1, 2, n, 129):
+        assert np.array_equal(sol.pressure(q[:size]), batch[:size])
+    assert sol.pressure(float(q[7])) == batch[7]
+
+
+@pytest.mark.parametrize("n, count", [(3, 1), (10, 2), (120, 129), (1000, 1), (1000, 129)])
+def test_exact_top_ties_on_both_tables(n, count):
+    # one target on the entry probability's table of the benefit alone,
+    # several on the pressure table, where benefit'(0) = 0 makes the
+    # first cell's Hermite start infinite and the linear start takes
+    # over; the bound is test_exact_top_ties' own
+    rng = np.random.default_rng(n + count)
+    ties = min(3, n - 1)
+    tail = np.sort(rng.uniform(0.0, 0.9, size=n - ties))[::-1]
+    rewards = RewardVector((1.0,) * ties + tuple(tail))
+    bottom = float(matrix_benefit(1.0, rewards)[0])
+    gaps = rng.uniform(0.0, 1.0, count)
+    gaps[:14] = np.logspace(-14, -1, 14)[:count]
+    targets = 1.0 - gaps * (1.0 - bottom)
+    got = _invert_benefit(targets, rewards, 1.0, hermite=count > 1)
+    oracle = bisect_benefit(targets, rewards, 1.0)
+    noise = inversion_noise(rewards)
+    with np.errstate(divide="ignore"):
+        conditioning = 4.0 * noise / np.abs(matrix_slope(oracle, rewards))
+    assert np.all(np.abs(got - oracle) <= 1e-9 + conditioning)
+
+
+@pytest.mark.parametrize("n", [3, 10, 200, 1000])
+def test_full_entry_with_tied_last_prizes(n):
+    # a_{n-1} = a_n >= c(0): everyone enters and benefit'(1) = 0, so the
+    # table's last node has a zero slope and the flat bottom near q = 0
+    # takes the linear start
+    rng = np.random.default_rng(n)
+    values = np.sort(rng.uniform(0.3, 1.0, size=n))[::-1]
+    values[-1] = values[-2]
+    rewards = RewardVector(tuple(values))
+    sol = solve(rewards, GOLDEN_COST)
+    assert sol.p == 1.0 and sol.regime == "full"
+    q = np.concatenate(([0.0], np.logspace(-12, -1, 12) * sol.qbar, rng.uniform(0.0, sol.qbar, 129)))
+    targets = np.asarray(GOLDEN_COST.value(q)) + sol.shift
+    oracle = bisect_benefit(targets, rewards, 1.0)
+    with np.errstate(divide="ignore"):
+        conditioning = 4.0 * inversion_noise(rewards) / np.abs(matrix_slope(oracle, rewards))
+    assert np.all(np.abs(sol.pressure(q) - oracle) <= 1e-9 + conditioning)

@@ -580,6 +580,42 @@ class TestBudgetHelpers:
             old = illinois_root(gap, 1e-12, 1.0, ftol=1e-10)
             assert abs(scale - old) <= 1e-9 * max(1.0, old)
 
+    def test_rescale_starts_at_the_small_p_root(self, monkeypatch):
+        # the search starts at p = budget / (n c(0)), where the residual
+        # vanishes to first order in p; the counts are exact, pinned at
+        # the time of writing (from the middle of the bracket the same
+        # matches take 322 and 305 evaluations, and 11 and 16 at
+        # n = 100 and 1000)
+        evals = []
+
+        def counting_root(g, lo, hi, **kwargs):
+            def counted(p):
+                evals.append(p)
+                return g(p)
+
+            return bracketed_root(counted, lo, hi, **kwargs)
+
+        bracketed_root = design.bracketed_root
+        monkeypatch.setattr(design, "bracketed_root", counting_root)
+        rng = np.random.default_rng(5)
+        wta = rescaled = 0
+        for _ in range(40):
+            n = int(rng.integers(3, 11))
+            cost = random_cost(rng)
+            budget = cost.entry_cost * rng.uniform(0.5, 4.0)
+            evals.clear()
+            wta_prize_for_budget(n, budget, cost)
+            wta += len(evals)
+            prizes = np.sort(rng.uniform(0.0, 1.0, n))[::-1] + np.linspace(0.01 * n, 0.0, n)
+            evals.clear()
+            rescale_to_budget(RewardVector(tuple(prizes)), cost, budget)
+            rescaled += len(evals)
+        assert wta <= 270 and rescaled <= 221
+        for n, ceiling in ((100, 6), (1000, 5)):
+            evals.clear()
+            wta_prize_for_budget(n, 0.6, COST)
+            assert len(evals) <= ceiling
+
 
 def scaled_matches(family, s):
     """Each budget matcher's schedule and target payout with every prize

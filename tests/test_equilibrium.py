@@ -279,3 +279,51 @@ class TestInverseSampling:
 
     def test_golden_value(self, golden_interior):
         assert golden_interior.quantile(0.4) == pytest.approx(0.3, abs=1e-10)
+
+
+def work_contest(n):
+    return random_rewards(np.random.default_rng(2), n, GOLDEN_COST, full_share=0.0)
+
+
+class TestInversionWork:
+    """Kernel work per inverted target, in units of rows x points x
+    degree over m = n - 1: about 2 per Newton pass over a target, plus
+    the starting table's share.  The counts are exact; each ceiling is
+    the count at the time of writing.
+    """
+
+    @pytest.mark.parametrize(
+        "n, points, ceiling",
+        [
+            # a linear start on a 17-node table of the benefit alone,
+            # as the entry probability uses, takes 6.13, 7.21 and 7.10
+            (10, 129, 5.27),
+            (200, 129, 5.94),
+            (1000, 1024, 4.43),
+        ],
+    )
+    def test_pressure(self, kernel_work, n, points, ceiling):
+        sol = solve(work_contest(n), GOLDEN_COST)
+        q = np.linspace(0.0, sol.qbar, points)
+        kernel_work.reset()
+        sol.pressure(q)
+        assert kernel_work.units / ((n - 1) * points) <= ceiling
+
+    @pytest.mark.parametrize("n, ceiling", [(3, 20.0), (10, 24.2), (1000, 23.0)])
+    def test_entry_probability(self, kernel_work, n, ceiling):
+        # the single target keeps the 17-node table of the benefit alone:
+        # the pressure table's slopes would cost it more than they save
+        rewards = work_contest(n)
+        assert rewards.last < GOLDEN_COST.entry_cost < rewards.top
+        participation_probability(rewards, GOLDEN_COST)
+        assert kernel_work.units / (n - 1) <= ceiling
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000])
+    def test_linear_benefit_needs_no_table(self, kernel_work, n):
+        # equal prize steps make the benefit linear: its two ends give
+        # every target's exact start, and each stops after one pass
+        sol = solve(RewardVector(tuple(np.linspace(1.0, 0.0, n))), GOLDEN_COST)
+        kernel_work.reset()
+        sol.pressure(np.linspace(0.0, sol.qbar, 512))
+        assert kernel_work.calls == 2
+        assert kernel_work.units == 2 * (n - 2) * (2 + 510)
