@@ -20,7 +20,10 @@ block of at most ``_BLOCK`` points at a time, in one of two loop orders
 that do the same products and the same left-to-right sums and so agree
 to the bit.  A block of more than ``_WALK`` points loops over the
 degrees in Python, each step one vector operation across the block, and
-holds a few vectors of the block's length per row.  A smaller block,
+holds a few vectors of the block's length per row.  It sums the plain
+rows only if some point of the block lies at or below 1/2 and the
+reversed rows only if some point lies above it, so a block on one side
+of 1/2 pays for one orientation.  A smaller block,
 where that loop's per-step overhead would dominate, walks the degree
 axis inside numpy instead: every factor of every point in one array,
 one cumulative product for the masses, one cumulative sum per row.
@@ -86,9 +89,15 @@ def bernstein(coeffs, x) -> np.ndarray:
 
 
 def _loop_degrees(rows, far, y, ratio, sums):
-    """Write one block's sums, one Python step per degree."""
+    """Write one block's sums, one Python step per degree, summing the
+    plain rows only if some point lies at or below 1/2 and the reversed
+    rows only if some point lies above it."""
     k, m = rows.shape[0], rows.shape[1] - 1
-    cols = np.concatenate((rows, rows[:, ::-1])).T[:, :, None]
+    near, away = not far.all(), bool(far.any())
+    cols = rows if near else rows[:, ::-1]
+    if near and away:
+        cols = np.concatenate((rows, rows[:, ::-1]))
+    cols = cols.T[:, :, None]
     t = (1.0 - y) ** m
     acc = cols[0] * t
     term = np.empty_like(acc)
@@ -98,7 +107,8 @@ def _loop_degrees(rows, far, y, ratio, sums):
         np.multiply(cols[i + 1], t, out=term)
         acc += term
     sums[...] = acc[:k]
-    np.copyto(sums, acc[k:], where=far)
+    if near and away:
+        np.copyto(sums, acc[k:], where=far)
 
 
 def _walk_degrees(rows, far, y, ratio, sums):

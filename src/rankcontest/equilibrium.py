@@ -355,7 +355,9 @@ class EquilibriumSolution:
         if self.regime != REGIME_NO_ENTRY:
             inside = arr <= self.qbar
             if np.any(inside):
-                x = self.pressure(arr[inside])
+                # the queries are checked and their costs known, so the
+                # targets c(q) + shift go to the inversion directly
+                x = _invert_benefit(costs[inside] + self.shift, self.rewards, self.p)
                 gains = expected_benefit(x, self.rewards)
                 out[inside] = gains - costs[inside] - self.shift
         return float(out[0]) if scalar else out

@@ -8,6 +8,7 @@ from rankcontest import (
     LinearCost,
     PerturbationResult,
     QuadraticPlusCost,
+    QuadratureError,
     RewardVector,
     SensitivityReport,
     contest_metrics,
@@ -18,7 +19,7 @@ from rankcontest import (
     rank_probability,
     solve,
 )
-from rankcontest import equilibrium
+from rankcontest import equilibrium, quadrature
 from rankcontest.design import _default_step
 from rankcontest.equilibrium import REGIME_NO_ENTRY
 from rankcontest.montecarlo import (
@@ -176,6 +177,52 @@ def bisect_benefit(targets, rewards, hi):
         lo = np.where(above, mid, lo)
         high = np.where(above, high, mid)
     return 0.5 * (lo + high)
+
+
+# Oracle for the quadrature: panel doubling with one integrand call per
+# level, the route before the first two levels shared one call.
+
+
+def levelwise_integrate(f, a, b, *, panels=64, nodes=8, tol=1e-9):
+    """``quadrature.integrate`` calling ``f`` once per level: same
+    points, same reductions, same stopping test and same errors."""
+    if b <= a:
+        return 0.0, 0.0
+    z, w = np.polynomial.legendre.leggauss(nodes)
+
+    def composite(panels):
+        edges = np.linspace(a, b, panels + 1)
+        half = 0.5 * (b - a) / panels
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        values = np.asarray(f((centers[:, None] + half * z[None, :]).ravel()), dtype=float)
+        rows = values.reshape(values.shape[:-1] + (panels, nodes))
+        out = np.empty(rows.shape[:-2])
+        for row in np.ndindex(out.shape):
+            out[row] = half * np.sum(rows[row] @ w)
+        return out
+
+    previous = composite(panels)
+    value = previous
+    estimate = np.abs(previous)
+    done = np.zeros(previous.shape, dtype=bool)
+    for _ in range(quadrature._MAX_DOUBLINGS):
+        panels *= 2
+        current = composite(panels)
+        step = np.abs(current - previous)
+        fresh = ~done & (step < tol)
+        value = np.where(fresh, current, value)
+        estimate = np.where(done, estimate, step)
+        done |= fresh
+        if done.all():
+            if value.ndim == 0:
+                return float(value), float(estimate)
+            return value, estimate
+        previous = current
+    failed = np.flatnonzero(~done.ravel())[0]
+    raise QuadratureError(
+        f"quadrature did not reach tol={tol} within {panels} panels",
+        float(estimate.ravel()[failed]),
+    )
 
 
 # Oracles for the simulator: the routes that inverted every opponent

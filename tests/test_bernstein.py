@@ -76,6 +76,20 @@ def test_bernstein_matches_mass_matrix(m, seed, drawn, size):
     assert np.max(np.abs(both - rows @ pmf_matrix(m, x))) <= rounding_bound(m, rows)
 
 
+def one_sided_blocks(rng, size):
+    """A block of ``size`` points at or below 1/2, 0 and 0.5 among them,
+    and one of points above 1/2, 1 among them: the loop sums one
+    orientation of the rows on each."""
+    near = np.concatenate(
+        ([0.0, 5e-324, np.nextafter(0.5, 0.0), 0.5], 0.5 * rng.random(size - 4))
+    )
+    far = np.concatenate(
+        ([np.nextafter(0.5, 1.0), 1.0 - 2.0**-53, 1.0], 1.0 - 0.5 * rng.random(size - 3))
+    )
+    assert np.all(near <= 0.5) and np.all(far > 0.5)
+    return near, far
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 10, 199, 999])
 def test_bernstein_value_does_not_depend_on_batch(m):
     # a point gets the same bits alone, in a block the walk takes (the
@@ -90,25 +104,37 @@ def test_bernstein_value_does_not_depend_on_batch(m):
         alone = np.stack([bernstein(c, float(v))[..., 0] for v in walked], axis=-1)
         assert np.array_equal(in_walk, in_loop)
         assert np.array_equal(in_walk, alone)
+    # blocks the loop takes with only one orientation of the rows, and
+    # the same points inside a block that holds both
+    for side in one_sided_blocks(rng, _WALK + 8):
+        mixed = np.concatenate((side, 1.0 - side))
+        for k in (1, 3):
+            rows = rng.normal(size=(k, m + 1))
+            in_side = bernstein(rows, side)
+            alone = np.stack([bernstein(rows, float(v))[:, 0] for v in side], axis=-1)
+            assert np.array_equal(in_side, bernstein(rows, mixed)[:, : side.size])
+            assert np.array_equal(in_side, alone)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 10])
 def test_walk_and_loop_orders_agree_to_the_bit(m):
     # bernstein sends every block of degree <= 2 to the loop, so the two
-    # orders meet only here at those degrees
+    # orders meet only here at those degrees; the one-sided blocks are
+    # longer than _WALK, where bernstein itself takes the loop
     rng = np.random.default_rng(m)
-    x = np.concatenate((EDGE_POINTS, rng.random(_WALK - EDGE_POINTS.size)))
-    far = x > 0.5
-    y = np.where(far, 1.0 - x, x)
-    ratio = y / (1.0 - y)
-    for k in (1, 3):
-        rows = rng.normal(size=(k, m + 1))
-        walked = np.empty((k, x.size))
-        looped = np.empty((k, x.size))
-        _walk_degrees(rows, far, y, ratio, walked)
-        _loop_degrees(rows, far, y, ratio, looped)
-        assert np.array_equal(walked, looped)
-        assert np.array_equal(walked, bernstein(rows, x))
+    mixed = np.concatenate((EDGE_POINTS, rng.random(_WALK - EDGE_POINTS.size)))
+    for x in (mixed, *one_sided_blocks(rng, 2 * _WALK)):
+        far = x > 0.5
+        y = np.where(far, 1.0 - x, x)
+        ratio = y / (1.0 - y)
+        for k in (1, 3):
+            rows = rng.normal(size=(k, m + 1))
+            walked = np.empty((k, x.size))
+            looped = np.empty((k, x.size))
+            _walk_degrees(rows, far, y, ratio, walked)
+            _loop_degrees(rows, far, y, ratio, looped)
+            assert np.array_equal(walked, looped)
+            assert np.array_equal(walked, bernstein(rows, x))
 
 
 def test_bernstein_memory_is_bounded_per_block():

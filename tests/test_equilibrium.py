@@ -7,11 +7,13 @@ from rankcontest import (
     RewardVector,
     StateError,
     benefit_slope,
+    contest_metrics,
     expected_benefit,
     participation_probability,
     solve,
     support_endpoint,
 )
+from rankcontest.costs import CostModel
 from conftest import GOLDEN_COST, random_instance, random_rewards
 
 
@@ -244,6 +246,34 @@ class TestIndifference:
             above = sol.qbar + np.array([1e-3, 0.1, 0.5])
             assert np.all(sol.payoff_residual(above) < 0)
 
+    def test_residual_evaluates_the_cost_once(self, monkeypatch):
+        # the inversion takes the targets c(q) + shift from the residual's
+        # own cost evaluation, with the bits of benefit(pressure(q))
+        # - c(q) - shift
+        rng = np.random.default_rng(3)
+        cases = []
+        for _ in range(30):
+            rewards, cost = random_instance(rng)
+            sol = solve(rewards, cost)
+            q = np.linspace(0.0, sol.qbar, 129)
+            inside = expected_benefit(sol.pressure(q), rewards) - cost.value(q) - sol.shift
+            above = sol.qbar + 0.5
+            want = np.append(inside, rewards.top - cost.value(above) - sol.shift)
+            cases.append((sol, np.append(q, above), want))
+        calls = []
+        value = CostModel.value
+
+        def counting_value(cost, q):
+            calls.append(np.size(q))
+            return value(cost, q)
+
+        monkeypatch.setattr(CostModel, "value", counting_value)
+        for sol, q, want in cases:
+            calls.clear()
+            assert np.array_equal(sol.payoff_residual(q), want)
+            assert sol.payoff_residual(float(q[3])) == want[3]
+            assert calls == [q.size, 1]
+
     def test_golden_examples(self, golden_interior):
         assert golden_interior.payoff_residual(0.0) == pytest.approx(0.0, abs=1e-10)
         assert golden_interior.payoff_residual(0.85) == pytest.approx(-0.1)
@@ -317,6 +347,16 @@ class TestInversionWork:
         assert rewards.last < GOLDEN_COST.entry_cost < rewards.top
         participation_probability(rewards, GOLDEN_COST)
         assert kernel_work.units / (n - 1) <= ceiling
+
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_quality_integrals(self, kernel_work, n):
+        # both integrals of contest_metrics stop at the second level here,
+        # and one pressure call inverts the nodes of both levels: the
+        # table and two Newton passes
+        sol = solve(work_contest(n), GOLDEN_COST)
+        kernel_work.reset()
+        contest_metrics(sol)
+        assert kernel_work.calls == 3
 
     @pytest.mark.parametrize("n", [2, 3, 10, 1000])
     def test_linear_benefit_needs_no_table(self, kernel_work, n):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
-from rankcontest import binom, metrics
+from rankcontest import binom, design, metrics
 from rankcontest import (
     DomainError,
     LinearCost,
@@ -15,6 +15,7 @@ from rankcontest import (
     RewardVector,
     benefit_slope,
     binomial_tail,
+    budget_matched_derivative,
     contest_metrics,
     expected_avg_quality,
     expected_budget,
@@ -26,7 +27,14 @@ from rankcontest import (
 )
 from rankcontest.equilibrium import EquilibriumSolution
 from rankcontest.quadrature import integrate
-from conftest import GOLDEN_COST, pmf_matrix, random_cost, random_instance, random_rewards
+from conftest import (
+    GOLDEN_COST,
+    levelwise_integrate,
+    pmf_matrix,
+    random_cost,
+    random_instance,
+    random_rewards,
+)
 
 
 class TestBinomialTail:
@@ -328,7 +336,10 @@ class TestSharedEvaluation:
         assert report.eq_total == sol.n * expected_avg_quality(sol)
         assert report.quadrature_error_estimate == max(rows[0][1], rows[1][1])
 
-    def test_one_tail_vector_and_one_inversion_per_level(self, monkeypatch):
+    def test_one_tail_vector_and_one_inversion_for_the_first_two_levels(self, monkeypatch):
+        # an integral that stops at level L (counted on the level-by-level
+        # oracle) inverts the first two levels' 3 * 64 * 8 points in one
+        # pressure call and each later level's in one more: L - 1 calls
         tails = []
         pressures = []
         tail_vector = binom.tail_vector
@@ -346,10 +357,14 @@ class TestSharedEvaluation:
             monkeypatch.setattr(module, "tail_vector", counting_tail_vector)
         monkeypatch.setattr(EquilibriumSolution, "pressure", counting_pressure)
 
-        def levels(call):
+        def calls(call, route=integrate):
+            monkeypatch.setattr(metrics, "integrate", route)
             pressures.clear()
             call()
-            return len(pressures)
+            return list(pressures)
+
+        def sizes(levels):
+            return [3 * 64 * 8] + [64 * 8 * 2**level for level in range(2, levels)]
 
         rng = np.random.default_rng(3)
         uneven = 0
@@ -357,12 +372,14 @@ class TestSharedEvaluation:
             rewards, cost = random_instance(rng, n_max=40)
             sol = solve(rewards, cost)
             try:
-                max_levels = levels(lambda: expected_max_quality(sol))
-                avg_levels = levels(lambda: expected_avg_quality(sol))
+                max_levels = len(calls(lambda: expected_max_quality(sol), levelwise_integrate))
+                avg_levels = len(calls(lambda: expected_avg_quality(sol), levelwise_integrate))
             except QuadratureError:
                 continue
+            assert calls(lambda: expected_max_quality(sol)) == sizes(max_levels)
+            assert calls(lambda: expected_avg_quality(sol)) == sizes(avg_levels)
             tails.clear()
-            assert levels(lambda: contest_metrics(sol)) == max(max_levels, avg_levels)
+            assert calls(lambda: contest_metrics(sol)) == sizes(max(max_levels, avg_levels))
             assert tails == [sol.n]
             uneven += max_levels != avg_levels
         # some instances refine one integral further than the other
@@ -417,3 +434,63 @@ class TestRowQuadrature:
                 integrate(lambda x: np.stack([g(x) for g in rows]), 0.0, 1.0, tol=self.TOL)
             assert info.value.estimate == first.value.estimate
             assert str(info.value) == str(first.value)
+
+
+class TestLevelwiseOracle:
+    """``integrate`` evaluates its first two levels in one integrand call;
+    the level-by-level route it replaced (conftest's
+    ``levelwise_integrate``) must give the same value, estimate and
+    failure to the bit."""
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return call()
+        except QuadratureError as error:
+            return str(error), error.estimate
+
+    def routes(self, monkeypatch, module, call):
+        """``call``'s outcome with ``module`` on each route."""
+        got = self.outcome(call)
+        monkeypatch.setattr(module, "integrate", levelwise_integrate)
+        want = self.outcome(call)
+        monkeypatch.setattr(module, "integrate", integrate)
+        return got, want
+
+    def test_row_integrands(self):
+        quad = TestRowQuadrature
+        singles = [(g,) for g in (np.exp, quad.kink, quad.step, np.sqrt)]
+        stacks = [(np.exp, quad.kink), (quad.kink, np.exp), (np.exp, quad.step)]
+        for rows in singles + stacks:
+            def f(x, rows=rows):
+                return rows[0](x) if len(rows) == 1 else np.stack([g(x) for g in rows])
+
+            got, want = (
+                self.outcome(lambda: route(f, 0.0, 1.0, tol=quad.TOL))
+                for route in (integrate, levelwise_integrate)
+            )
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_contest_metrics(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            rewards, cost = random_instance(rng, n_max=200)
+            sol = solve(rewards, cost)
+            got, want = self.routes(monkeypatch, metrics, lambda: contest_metrics(sol))
+            assert got == want
+
+    def test_budget_matched_derivative(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            rewards, cost = random_instance(rng)
+            rank = int(rng.integers(2, rewards.n + 1))
+            got, want = self.routes(
+                monkeypatch, design, lambda: budget_matched_derivative(rewards, cost, rank)
+            )
+            assert got == want
+
+    def test_nearly_tied_top_prizes_still_raise(self, monkeypatch):
+        sol = solve(RewardVector((1.0, 0.999, 0.0)), GOLDEN_COST)
+        got, want = self.routes(monkeypatch, metrics, lambda: contest_metrics(sol))
+        assert got == want
+        assert "did not reach" in got[0]
