@@ -66,7 +66,6 @@ from .mechanism import (
     AttentionCaps,
     RewardVector,
     attention_schedule,
-    validate,
     winner_take_all,
 )
 from .metrics import (
@@ -149,7 +148,6 @@ __all__ = [
     "tax_sweep",
     "taxed_wta",
     "trial_streams",
-    "validate",
     "winner_take_all",
     "wta_dominance_trial",
     "wta_prize_for_budget",

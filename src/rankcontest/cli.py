@@ -3,9 +3,10 @@
 Every subcommand parses one contest instance (explicit rewards, a
 winner-take-all prize, or attention caps, plus a cost spec), runs one
 operation, and prints a JSON run record to stdout.  The record embeds
-the fully-resolved instance — including every default tolerance — so a
-run is reproducible from its own output.  ``--csv`` additionally writes
-the command's tabular output.
+the fully-resolved instance — every setting, defaults included, and the
+package version, which fixes every numerical rule such as the one
+quadrature rule — so a run is reproducible from its own output.
+``--csv`` additionally writes the command's tabular output.
 
 Exit codes: 0 success, 1 usage, 2 validation, 3 numeric
 non-convergence, 4 verification failure.
@@ -44,7 +45,6 @@ from .errors import (
     StateError,
 )
 from .mechanism import AttentionCaps, RewardVector, attention_schedule, winner_take_all
-from .metrics import QUAD_NODES, QUAD_PANELS, QUAD_TOL
 from .metrics import binomial_tail, contest_metrics, slope_bound_gap
 from .montecarlo import deviation_check, run as run_simulation
 from .quadrature import integrate
@@ -85,9 +85,6 @@ class InstanceSpec:
     caps: list[float] | None = _setting(None, "attention caps, e.g. 1,0.5,0.4")
     cost: str | None = _setting(None, "cost spec, e.g. linear:c0=0.25,slope=1")
     seed: int = _setting(0, "simulation seed", ("at least", 0))
-    quad_panels: int = _setting(QUAD_PANELS, "initial quadrature panels", ("at least", 1))
-    quad_nodes: int = _setting(QUAD_NODES, "Gauss-Legendre nodes per panel", ("at least", 2))
-    quad_tol: float = _setting(QUAD_TOL, "quadrature refinement target", ("above", 0))
     trials: int = _setting(100000, "simulated contests", ("at least", 1))
     rank: int = _setting(2, "rank whose prize is perturbed", ("at least", 2))
     taxes: list[float] | None = _setting(None, "entry taxes (default 0,0.01,0.02)")
@@ -244,9 +241,7 @@ def _cmd_solve(spec: InstanceSpec):
 def _cmd_metrics(spec: InstanceSpec):
     rewards, cost = build_contest(spec)
     sol = solve(rewards, cost)
-    report = contest_metrics(
-        sol, panels=spec.quad_panels, nodes=spec.quad_nodes, tol=spec.quad_tol
-    )
+    report = contest_metrics(sol)
     output = report.to_dict()
     header = ["budget", "eq_max", "eq_avg", "eq_total", "error_estimate"]
     rows = [[report.budget, report.eq_max, report.eq_avg, report.eq_total,
@@ -382,7 +377,7 @@ def _identity_checks():
                 def integrand(x, k=k, n=n):
                     return bernstein(np.eye(1, n, k - 1)[0], x)
 
-                integral, _ = integrate(integrand, 0.0, float(p), panels=4, nodes=16)
+                integral, _ = integrate(integrand, 0.0, float(p))
                 worst_tail = max(worst_tail, abs(direct - n * integral))
                 worst_gap = min(worst_gap, slope_bound_gap(n, k, float(p)))
     checks.append((f"tail integral identity (worst {worst_tail:.2e})", worst_tail <= 1e-10))
@@ -433,7 +428,7 @@ _CONTEST = ("n", "rewards", "wta", "tax", "caps", "cost")
 _SIMULATION = ("trials", "seed")
 COMMANDS = {
     "solve": Command(_cmd_solve, (*_CONTEST, "grid")),
-    "metrics": Command(_cmd_metrics, (*_CONTEST, "quad_panels", "quad_nodes", "quad_tol")),
+    "metrics": Command(_cmd_metrics, _CONTEST),
     "simulate": Command(_cmd_simulate, (*_CONTEST, *_SIMULATION)),
     "deviate": Command(_cmd_deviate, (*_CONTEST, *_SIMULATION, "grid", "margin")),
     "design-attention": Command(

@@ -32,14 +32,7 @@ from .costs import CostModel, HAZARD_CONSTANT, HAZARD_NONINCREASING
 from .equilibrium import REGIME_FULL, REGIME_NO_ENTRY, benefit_slope, solve
 from .errors import ContestError, ConvergenceError, DomainError
 from .mechanism import AttentionCaps, RewardVector, attention_schedule, winner_take_all
-from .metrics import (
-    QUAD_NODES,
-    QUAD_PANELS,
-    QUAD_TOL,
-    contest_metrics,
-    expected_budget,
-    expected_max_quality,
-)
+from .metrics import contest_metrics, expected_budget, expected_max_quality
 from .quadrature import integrate
 from .rootfind import bracketed_root
 
@@ -436,9 +429,7 @@ def _budget_matched_derivative(rewards, cost, rank, base_sol):
         w = n * (1.0 - x) ** (n - 1)
         return np.stack((b1 * w, bs * w, b1, bs))
 
-    (max1, maxs, avg1, avgs), _ = integrate(
-        integrand, 0.0, p, panels=QUAD_PANELS, nodes=QUAD_NODES, tol=QUAD_TOL
-    )
+    (max1, maxs, avg1, avgs), _ = integrate(integrand, 0.0, p)
     return PerturbationResult(
         rank=rank,
         step=step,

@@ -78,12 +78,6 @@ class RewardVector:
         return RewardVector(tuple(prizes))
 
 
-def validate(values) -> RewardVector:
-    """Validate a prize sequence, raising :class:`MechanismError` with the
-    violated clause ("size", "monotonicity", "strictness") on rejection."""
-    return RewardVector(tuple(values))
-
-
 @dataclass(frozen=True)
 class AttentionCaps:
     """Per-rank attention ceilings A_1 >= ... >= A_n >= 0.

@@ -16,7 +16,8 @@ n.  :func:`contest_metrics` builds that tail vector once for the budget
 and every rank.
 
 Quality statistics are integrals of the survival function over the
-support and are evaluated with composite Gauss-Legendre panels that
+support and are evaluated with the library's one quadrature rule
+(:mod:`rankcontest.quadrature`): composite Gauss-Legendre panels that
 double until two successive estimates agree.  The best and the average
 quality integrate over the same nodes, so :func:`contest_metrics` runs
 them as two rows of one pass and inverts the pressure at each node once
@@ -41,12 +42,6 @@ from .equilibrium import (
 )
 from .errors import DomainError
 from .quadrature import integrate
-
-# the quadrature rule: contest_metrics's defaults, and what the
-# single-integral helpers always use
-QUAD_PANELS = 64
-QUAD_NODES = 8
-QUAD_TOL = 1e-9
 
 
 def binomial_tail(n: int, k: int, p: float) -> float:
@@ -112,15 +107,13 @@ def expected_max_quality(sol: EquilibriumSolution, *, method: str = "grid") -> f
 
 
 def expected_avg_quality(sol: EquilibriumSolution, *, method: str = "grid") -> float:
-    """Expected quality of one agent (0 when she stays out): the integral
+    """Expected quality of one agent (0 when it stays out): the integral
     of the pressure x(q) over the support.  Total quality is n times this."""
     values, _ = _quality_integral(sol, ("avg",), method)
     return float(values[0])
 
 
-def _quality_integral(
-    sol, which, method, panels=QUAD_PANELS, nodes=QUAD_NODES, tol=QUAD_TOL
-):
+def _quality_integral(sol, which, method):
     """Integrate the rows named in ``which`` ("max", "avg") in one pass.
 
     Returns per-row arrays (values, error estimates).  Every node's
@@ -162,7 +155,7 @@ def _quality_integral(
         raise DomainError(f"unknown method {method!r}")
     if hi <= 0.0:
         return zeros, zeros
-    return integrate(f, 0.0, hi, panels=panels, nodes=nodes, tol=tol)
+    return integrate(f, 0.0, hi)
 
 
 def rank_probability_at(sol: EquilibriumSolution, k: int, q) -> float:
@@ -216,13 +209,7 @@ class ContestMetrics:
         }
 
 
-def contest_metrics(
-    sol: EquilibriumSolution,
-    *,
-    panels: int = QUAD_PANELS,
-    nodes: int = QUAD_NODES,
-    tol: float = QUAD_TOL,
-) -> ContestMetrics:
+def contest_metrics(sol: EquilibriumSolution) -> ContestMetrics:
     """Budget, expected best/average/total quality and rank odds.
 
     One binomial tail vector serves the budget and every rank's odds,
@@ -238,9 +225,7 @@ def contest_metrics(
     budget = float(sol.rewards.as_array() @ tails[1:])
     # at p = 0 the tail vector is the exact point mass (1, 0, ..., 0)
     ranks = tuple(float(tails[k]) / n for k in range(1, n + 1))
-    (eq_max, eq_avg), errors = _quality_integral(
-        sol, ("max", "avg"), "grid", panels, nodes, tol
-    )
+    (eq_max, eq_avg), errors = _quality_integral(sol, ("max", "avg"), "grid")
     return ContestMetrics(
         budget=budget,
         eq_max=float(eq_max),

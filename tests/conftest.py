@@ -183,11 +183,13 @@ def bisect_benefit(targets, rewards, hi):
 # level, the route before the first two levels shared one call.
 
 
-def levelwise_integrate(f, a, b, *, panels=64, nodes=8, tol=1e-9):
-    """``quadrature.integrate`` calling ``f`` once per level: same
-    points, same reductions, same stopping test and same errors."""
+def levelwise_integrate(f, a, b):
+    """``quadrature.integrate`` calling ``f`` once per level: same rule,
+    points, reductions, stopping test and errors.  The rule is read from
+    the module, so the oracle cannot drift from it."""
     if b <= a:
         return 0.0, 0.0
+    panels, nodes, tol = quadrature._PANELS, quadrature._NODES, quadrature._TOL
     z, w = np.polynomial.legendre.leggauss(nodes)
 
     def composite(panels):

@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from rankcontest import cli
+from rankcontest import cli, quadrature
 
 
 @pytest.fixture(scope="module")
@@ -39,18 +39,29 @@ BASE = {
                   "--cost", "linear:c0=0.25,slope=1"],
     "verify": [],
 }
-# knobs that changed no result and were removed; old records carrying
-# them still validate, but no flag or config key accepts them
-REMOVED_KNOBS = ("threads", "arg_tol", "delta")
-# (command, setting, value) outside the range any run can use
+# knobs that were removed, each with the command that read it last:
+# the first three changed no result, and the quadrature rule is fixed
+# per version; old records carrying them still validate, but no flag or
+# config key accepts them
+REMOVED_KNOBS = {
+    "threads": "solve",
+    "arg_tol": "solve",
+    "delta": "solve",
+    "quad_panels": "metrics",
+    "quad_nodes": "metrics",
+    "quad_tol": "metrics",
+}
+# (command, setting, value) outside the range any run can use; pytest
+# names a list or dict value by its row's index, so rows keep their places
 OUT_OF_RANGE = [
     ("solve", "grid", 0),
     ("deviate", "grid", -3),
-    ("metrics", "quad_panels", 0),
-    ("metrics", "quad_nodes", 0),
-    ("metrics", "quad_nodes", 1),
-    ("metrics", "quad_tol", -1.0),
-    ("metrics", "quad_tol", 0.0),
+    ("metrics", "n", 1),
+    # json.load reads NaN and Infinity, and float() reads nan and inf
+    ("metrics", "wta", float("inf")),
+    ("metrics", "tax", float("nan")),
+    ("perturb", "tax", float("inf")),
+    ("metrics", "caps", [1.0, float("nan")]),
     ("design-attention", "levels", -1),
     ("design-attention", "levels", 1),
     ("simulate", "seed", -1),
@@ -62,14 +73,12 @@ OUT_OF_RANGE = [
     ("tax-sweep", "n", 0),
     ("perturb", "rank", 1),
     ("avg-sign-sweep", "rank", 0),
-    # json.load reads NaN and Infinity, and float() reads nan and inf
     ("deviate", "margin", float("nan")),
     ("deviate", "margin", float("inf")),
     ("tax-sweep", "taxes", [float("nan"), float("inf")]),
     ("avg-sign-sweep", "budgets", [float("inf")]),
     ("solve", "rewards", [1.0, float("-inf")]),
     ("wta-trial", "budget", float("inf")),
-    ("metrics", "quad_tol", float("inf")),
 ]
 # (command, key, config value) of the wrong JSON type
 WRONG_TYPE = [
@@ -78,9 +87,9 @@ WRONG_TYPE = [
     ("simulate", "seed", 1.5),
     ("simulate", "seed", True),
     ("simulate", "trials", 2.5),
-    ("metrics", "quad_panels", 64.0),
-    ("metrics", "quad_tol", None),
-    ("metrics", "quad_tol", "1e-9"),
+    ("metrics", "n", 2.0),
+    ("metrics", "wta", "1"),
+    ("metrics", "tax", True),
     ("solve", "n", False),
     ("solve", "rewards", [1, "a"]),
     ("solve", "rewards", [1, None]),
@@ -95,11 +104,11 @@ BAD_TEXT = [
     ("simulate", "seed", "abc"),
     ("simulate", "trials", "1e5"),
     ("solve", "rewards", "1,a"),
-    ("metrics", "quad_tol", "tiny"),
 ]
 # (command, key, value) of settings the command does not read, or, for
-# ``delta``, that no command has any more; each was accepted and echoed,
-# and changed nothing, while every command took every shared setting
+# ``delta`` and ``quad_tol``, that no command has any more; each was
+# accepted and echoed, and changed nothing, while every command took
+# every shared setting
 UNREAD = [
     ("solve", "seed", 3),
     ("solve", "trials", 5),
@@ -161,14 +170,16 @@ class TestSolve:
         assert record["output"]["p"] == pytest.approx(0.75, abs=1e-10)
         assert record["output"]["regime"] == "interior"
         assert record["output"]["residual_max"] <= 1e-8
-        # echoed defaults make the run reproducible from the record alone
+        # echoed defaults and the version make the run reproducible from
+        # the record alone; the version fixes the quadrature rule
         echo = record["instance"]
-        assert echo["quad_panels"] == 64
+        assert echo["grid"] == 129
         assert echo["rewards"] == [1.0, 0.0]
+        assert not {"quad_panels", "quad_nodes", "quad_tol"} & set(echo)
 
     @pytest.mark.parametrize("knob", REMOVED_KNOBS)
     def test_removed_knob_not_echoed(self, capsys, schema, knob):
-        code, record = run_cli(capsys, "solve", *GOLDEN)
+        code, record = run_cli(capsys, REMOVED_KNOBS[knob], *GOLDEN)
         assert code == 0
         assert knob not in record["instance"]
         # records written while the key existed still validate
@@ -242,14 +253,17 @@ class TestExitCodes:
         assert record is None
         assert "requires a finite" in run_cli.err
 
-    def test_unreachable_quadrature_numeric(self, capsys):
-        # a coarse rule on a curved integrand keeps drifting, so the
-        # panel budget runs out and maps to the numeric exit code
-        code, _ = run_cli(
-            capsys, "metrics", "--n", "3", "--wta", "2", "--cost", "exp:k=1",
-            "--quad-panels", "1", "--quad-nodes", "2", "--quad-tol", "1e-30",
+    def test_unreachable_quadrature_numeric(self, capsys, monkeypatch):
+        # with no doubling allowed the first two levels must already
+        # agree; on this curved integrand they do not, so the rule gives
+        # up and that maps to the numeric exit code
+        monkeypatch.setattr(quadrature, "_MAX_DOUBLINGS", 0)
+        code, record = run_cli(
+            capsys, "metrics", "--n", "3", "--wta", "2", "--cost", "exp:k=1"
         )
         assert code == 3
+        assert record is None
+        assert "did not reach tol=1e-09 within 128 panels" in run_cli.err
 
     def test_simulator_work_cap_validation(self, capsys):
         # 100,000 default trials of 1,000 agents exceed the work cap
@@ -264,8 +278,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("knob", REMOVED_KNOBS)
     def test_removed_knob_flag(self, capsys, knob):
-        code, _ = run_cli(capsys, "solve", *GOLDEN, "--" + knob.replace("_", "-"), "1")
+        flag = "--" + knob.replace("_", "-")
+        code, _ = run_cli(capsys, REMOVED_KNOBS[knob], *GOLDEN, flag, "1")
         assert code == 1
+        assert "unrecognized arguments: " + flag in run_cli.err
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command, key, value", OUT_OF_RANGE)
@@ -344,7 +360,7 @@ class TestConfigFile:
     def test_removed_knob_key_rejected(self, capsys, tmp_path, knob):
         config = tmp_path / "instance.json"
         config.write_text(json.dumps({"rewards": [1, 0], knob: 1}))
-        code, _ = run_cli(capsys, "solve", "--config", str(config))
+        code, _ = run_cli(capsys, REMOVED_KNOBS[knob], "--config", str(config))
         assert code == 2
         assert f"unknown config keys: ['{knob}']" in run_cli.err
 
@@ -450,7 +466,7 @@ class TestSurface:
             for name, cmd in sub.choices.items()
         }
         assert flags == {name: list(cmd.reads) for name, cmd in cli.COMMANDS.items()}
-        assert sum(map(len, flags.values())) == 58
+        assert sum(map(len, flags.values())) == 55
 
     def test_schema_command_enum_is_the_command_table(self, schema):
         assert schema["properties"]["command"]["enum"] == list(cli.COMMANDS)

@@ -16,7 +16,6 @@ from rankcontest import (
     mechanism,
     solve,
     taxed_wta,
-    validate,
     winner_take_all,
 )
 
@@ -36,31 +35,31 @@ def budget_oracle(prizes, p):
 
 class TestValidate:
     def test_winner_take_all_shape_is_valid(self):
-        rv = validate((1.0, 0.0, 0.0))
+        rv = RewardVector((1.0, 0.0, 0.0))
         assert rv.prizes == (1.0, 0.0, 0.0)
         assert rv.nonnegative
 
     def test_all_equal_rejected(self):
         with pytest.raises(MechanismError) as err:
-            validate((1.0, 1.0, 1.0))
+            RewardVector((1.0, 1.0, 1.0))
         assert err.value.clause == "strictness"
 
     def test_increasing_rejected(self):
         with pytest.raises(MechanismError) as err:
-            validate((0.5, 1.0, 0.0))
+            RewardVector((0.5, 1.0, 0.0))
         assert err.value.clause == "monotonicity"
 
     def test_too_short_rejected(self):
         with pytest.raises(MechanismError) as err:
-            validate((1.0,))
+            RewardVector((1.0,))
         assert err.value.clause == "size"
 
     def test_negative_tail_allowed(self):
-        rv = validate((1.0, -0.05, -0.05))
+        rv = RewardVector((1.0, -0.05, -0.05))
         assert not rv.nonnegative
 
     def test_ties_inside_allowed(self):
-        assert validate((1.0, 1.0, 0.0)).n == 3
+        assert RewardVector((1.0, 1.0, 0.0)).n == 3
 
 
 class TestWinnerTakeAll:

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
-from rankcontest import binom, design, metrics
+import rankcontest
+from rankcontest import binom, design, metrics, quadrature
 from rankcontest import (
     DomainError,
     LinearCost,
@@ -294,7 +296,7 @@ def _single_row(sol, name):
     """One quality integral alone: its value and error estimate, or the
     QuadratureError it raises."""
     try:
-        values, errors = metrics._quality_integral(sol, (name,), "grid", 64, 8, 1e-9)
+        values, errors = metrics._quality_integral(sol, (name,), "grid")
     except QuadratureError as exc:
         return exc
     return float(values[0]), float(errors[0])
@@ -389,11 +391,10 @@ class TestSharedEvaluation:
 class TestRowQuadrature:
     """quadrature.integrate on an integrand with several rows."""
 
-    TOL = 1e-12
-
     @staticmethod
     def kink(x):
-        return np.abs(x - 1.0 / 3.0) ** 2.5
+        # three calls, of 1,536, 2,048 and 4,096 points; exp stops after one
+        return np.abs(x - 1.0 / 3.0) ** 1.5
 
     @staticmethod
     def step(x):
@@ -406,34 +407,49 @@ class TestRowQuadrature:
             calls.append(x.size)
             return g(x)
 
-        return integrate(f, 0.0, 1.0, tol=self.TOL), len(calls)
+        return integrate(f, 0.0, 1.0), len(calls)
 
     def test_each_row_equals_the_row_alone(self):
         (exp_value, exp_err), exp_levels = self.single(np.exp)
         (kink_value, kink_err), kink_levels = self.single(self.kink)
         assert exp_levels < kink_levels
         for order in ((np.exp, self.kink), (self.kink, np.exp)):
-            values, errors = integrate(
-                lambda x: np.stack([g(x) for g in order]), 0.0, 1.0, tol=self.TOL
-            )
+            values, errors = integrate(lambda x: np.stack([g(x) for g in order]), 0.0, 1.0)
             got = dict(zip(order, zip(values, errors)))
             assert got[np.exp] == (exp_value, exp_err)
             assert got[self.kink] == (kink_value, kink_err)
 
     def test_any_failing_row_raises(self):
         with pytest.raises(QuadratureError) as alone:
-            integrate(self.step, 0.0, 1.0, tol=self.TOL)
+            integrate(self.step, 0.0, 1.0)
         with pytest.raises(QuadratureError) as alone_sqrt:
-            integrate(np.sqrt, 0.0, 1.0, tol=self.TOL)
+            integrate(np.sqrt, 0.0, 1.0)
         for rows, first in (
             ((np.exp, self.step), alone),
             ((self.step, np.exp), alone),
             ((np.sqrt, self.step), alone_sqrt),
         ):
             with pytest.raises(QuadratureError) as info:
-                integrate(lambda x: np.stack([g(x) for g in rows]), 0.0, 1.0, tol=self.TOL)
+                integrate(lambda x: np.stack([g(x) for g in rows]), 0.0, 1.0)
             assert info.value.estimate == first.value.estimate
             assert str(info.value) == str(first.value)
+
+
+def test_rule_table_is_gauss_legendre():
+    z, w = np.polynomial.legendre.leggauss(quadrature._NODES)
+    assert np.array_equal(quadrature._Z, z)
+    assert np.array_equal(quadrature._W, w)
+
+
+def test_no_entry_point_takes_a_quadrature_rule():
+    """The rule is fixed inside ``quadrature``; nothing public sets it."""
+    callables = [getattr(rankcontest, name) for name in rankcontest.__all__]
+    for obj in [*filter(callable, callables), integrate]:
+        try:
+            parameters = inspect.signature(obj).parameters
+        except ValueError:  # the exception classes, which take no keywords
+            continue
+        assert not {"panels", "nodes", "tol"} & set(parameters), obj
 
 
 class TestLevelwiseOracle:
@@ -466,7 +482,7 @@ class TestLevelwiseOracle:
                 return rows[0](x) if len(rows) == 1 else np.stack([g(x) for g in rows])
 
             got, want = (
-                self.outcome(lambda: route(f, 0.0, 1.0, tol=quad.TOL))
+                self.outcome(lambda: route(f, 0.0, 1.0))
                 for route in (integrate, levelwise_integrate)
             )
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
