@@ -79,6 +79,14 @@ OUT_OF_RANGE = [
     ("avg-sign-sweep", "budgets", [float("inf")]),
     ("solve", "rewards", [1.0, float("-inf")]),
     ("wta-trial", "budget", float("inf")),
+    # the quadrature rule's settings are gone, so no value of theirs runs:
+    # a config naming one exits 2, and a flag setting one is a usage error
+    ("metrics", "quad_panels", 0),
+    ("metrics", "quad_nodes", 0),
+    ("metrics", "quad_nodes", 1),
+    ("metrics", "quad_tol", -1.0),
+    ("metrics", "quad_tol", 0.0),
+    ("metrics", "quad_tol", float("inf")),
 ]
 # (command, key, config value) of the wrong JSON type
 WRONG_TYPE = [
@@ -98,12 +106,16 @@ WRONG_TYPE = [
     ("perturb", "rank", "3"),
     ("wta-trial", "budget", [1]),
     ("verify", "suite", ["all"]),
+    ("metrics", "quad_panels", 64.0),
+    ("metrics", "quad_tol", None),
+    ("metrics", "quad_tol", "1e-9"),
 ]
 # (command, flag value) that is not text of the setting's type
 BAD_TEXT = [
     ("simulate", "seed", "abc"),
     ("simulate", "trials", "1e5"),
     ("solve", "rewards", "1,a"),
+    ("metrics", "quad_tol", "tiny"),
 ]
 # (command, key, value) of settings the command does not read, or, for
 # ``delta`` and ``quad_tol``, that no command has any more; each was
@@ -120,6 +132,21 @@ UNREAD = [
     ("verify", "cost", "nonsense"),
     ("verify", "trials", 0),
 ]
+
+
+def assert_refused(code, record, key, source):
+    """The run wrote no record and exited 2 naming ``key``; a removed
+    knob's flag is a usage error (exit 1), and its config key unknown."""
+    assert record is None
+    if source == "flag" and key in REMOVED_KNOBS:
+        assert code == 1
+        assert "unrecognized arguments: --" + key.replace("_", "-") in run_cli.err
+    elif key in REMOVED_KNOBS:
+        assert code == 2
+        assert f"unknown config keys: ['{key}']" in run_cli.err
+    else:
+        assert code == 2
+        assert key in run_cli.err
 
 
 def with_setting(tmp_path, source, command, key, value):
@@ -289,9 +316,7 @@ class TestExitCodes:
         self, capsys, tmp_path, source, command, key, value
     ):
         code, record = run_cli(capsys, *with_setting(tmp_path, source, command, key, value))
-        assert code == 2
-        assert record is None
-        assert key in run_cli.err
+        assert_refused(code, record, key, source)
 
     @pytest.mark.parametrize("command, key, value", WRONG_TYPE)
     def test_wrong_type_config_value_validation(self, capsys, tmp_path, command, key, value):
@@ -304,9 +329,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, key, text", BAD_TEXT)
     def test_unparseable_flag_validation(self, capsys, tmp_path, command, key, text):
         code, record = run_cli(capsys, *with_setting(tmp_path, "flag", command, key, text))
-        assert code == 2
-        assert record is None
-        assert key in run_cli.err
+        assert_refused(code, record, key, "flag")
 
     @pytest.mark.parametrize("command, key, value", UNREAD)
     def test_unread_flag_usage(self, capsys, tmp_path, command, key, value):
