@@ -48,10 +48,7 @@ from .equilibrium import (
     EquilibriumSolution,
     benefit_slope,
     expected_benefit,
-    participation_probability,
-    payoff_shift,
     solve,
-    support_endpoint,
 )
 from .errors import (
     ContestError,
@@ -134,8 +131,6 @@ __all__ = [
     "hold_budget",
     "optimal_attention",
     "parse_cost",
-    "participation_probability",
-    "payoff_shift",
     "play_round",
     "rank_probability",
     "rank_probability_at",
@@ -144,7 +139,6 @@ __all__ = [
     "run",
     "slope_bound_gap",
     "solve",
-    "support_endpoint",
     "tax_sweep",
     "taxed_wta",
     "trial_streams",

@@ -44,7 +44,7 @@ from .errors import (
     MechanismError,
     StateError,
 )
-from .mechanism import AttentionCaps, RewardVector, attention_schedule, winner_take_all
+from .mechanism import MAX_AGENTS, AttentionCaps, RewardVector, attention_schedule, winner_take_all
 from .metrics import binomial_tail, contest_metrics, slope_bound_gap
 from .montecarlo import deviation_check, run as run_simulation
 from .quadrature import integrate
@@ -78,7 +78,7 @@ def _setting(default, help: str, bound: tuple[str, object] | None = None):
 class InstanceSpec:
     """Fully-resolved run configuration; the JSON echo of every record."""
 
-    n: int | None = _setting(None, "number of ranks", ("at least", 2))
+    n: int | None = _setting(None, "number of ranks", ("between", (2, MAX_AGENTS)))
     rewards: list[float] | None = _setting(None, "explicit prizes, e.g. 1,0,0")
     wta: float | None = _setting(None, "winner-take-all top prize (needs --n)")
     tax: float | None = _setting(None, "entry tax (with --wta)")
@@ -104,7 +104,12 @@ class InstanceSpec:
 
 
 SETTINGS = {f.name: f for f in fields(InstanceSpec)}
-_RELATIONS = {"at least": operator.ge, "above": operator.gt, "one of": lambda v, of: v in of}
+_RELATIONS = {
+    "at least": operator.ge,
+    "above": operator.gt,
+    "between": lambda v, span: span[0] <= v <= span[1],
+    "one of": lambda v, of: v in of,
+}
 _TYPE_NAMES = {
     int: "an integer", float: "a finite number", list: "a list of finite numbers", str: "a string"
 }
@@ -220,8 +225,9 @@ def _cmd_solve(spec: InstanceSpec):
     residual_max = 0.0
     if sol.regime != REGIME_NO_ENTRY:
         grid = np.linspace(0.0, sol.qbar, spec.grid)
-        cdf = sol.cdf(grid)
         pressure = sol.pressure(grid)
+        # EquilibriumSolution.cdf's formula, from the pressure at hand
+        cdf = 1.0 - pressure / sol.p
         residuals = sol.payoff_residual(grid)
         residual_max = float(np.max(np.abs(residuals)))
         rows = [

@@ -30,16 +30,19 @@ Three regimes:
 * ``interior``  a_n < c(0) < a_1: p in (0, 1) solves benefit(p) = c(0).
 * ``full``      a_n >= c(0): p = 1.
 
-The support endpoint solves c(qbar) = a_1 - shift.  Every query
-inverts or evaluates one Bernstein polynomial: the pressure behind
-``cdf`` and the entry probability solve benefit(x) = target, and the
-quantile evaluates benefit directly.  Sums run through
-:func:`binom.bernstein` in O(points) memory.  Because the benefit
-function is strictly decreasing, each inversion keeps a bracket and runs
-a safeguarded Newton iteration that falls back to bisection, so
-convergence is guaranteed; the solver carries no state beyond the
-scalars above, and solutions are immutable and safe to share across
-threads.
+The support endpoint solves c(qbar) = a_1 - shift.  :func:`solve` alone
+decides the regime, p, qbar and shift.  Every query inverts or
+evaluates one Bernstein polynomial: the entry probability and the
+pressure behind ``cdf`` solve benefit(x) = target, and the quantile
+evaluates benefit directly.  Sums run through :func:`binom.bernstein`
+in O(points) memory.  Because the benefit function is strictly
+decreasing, each inversion keeps a bracket and runs a safeguarded
+Newton iteration that falls back to bisection, so convergence is
+guaranteed: the entry probability's one target through the library's
+scalar :func:`rootfind.bracketed_root` from the midpoint of [0, 1], and
+the pressure's targets together from a table.  The solver carries no
+state beyond the scalars above, and solutions are immutable and safe to
+share across threads.
 """
 
 from dataclasses import dataclass
@@ -50,6 +53,7 @@ from .binom import _WALK, bernstein
 from .costs import CostModel
 from .errors import DomainError, StateError
 from .mechanism import RewardVector
+from .rootfind import bracketed_root
 
 REGIME_NO_ENTRY = "no_entry"
 REGIME_INTERIOR = "interior"
@@ -57,25 +61,19 @@ REGIME_FULL = "full"
 
 _X_SLACK = 1e-12
 _EPS = float(np.finfo(float).eps)
-# Benefit inversion: a step or bracket within _STOP_ULPS ulps of [0, hi]
-# ends the iteration.  A pressure query starts each target on a table of
-# the benefit and its slope at _WALK nodes (the kernel's walk block,
-# past which the table would leave the walk): a node costs the kernel
-# work of one target's Newton pass, and from it a target takes about 2
-# passes (a start not already at the root needs 2), against 3.3 to 3.5
-# from a linear start on _TABLE_NODES nodes, at every degree from 2 to
-# 999.  The table depends on the contest alone, so a point's pressure
-# does not depend on the points queried with it; a query of a few points
-# pays for the whole table.  The one target of an entry probability
-# keeps the table of the benefit alone at _TABLE_NODES nodes and the
-# linear start: a 7-node table with slopes saves it at most a third of a
-# pass, but the Hermite start's numpy calls cost more time than that
-# (about 5% of a solve at n <= 10), and a larger one also costs more
-# arithmetic than it saves.  Bisection alone would get from one cell of
-# that table to the stopping width in about 46 steps, well inside
-# _NEWTON_CAP.
+# Pressure inversion: a step or bracket within _STOP_ULPS ulps of [0, hi]
+# ends the iteration.  Each target starts on a table of the benefit and
+# its slope at _WALK nodes (the kernel's walk block, past which the
+# table would leave the walk): a node costs the kernel work of one
+# target's Newton pass, and from it a target takes about 2 passes (a
+# start not already at the root needs 2), against 3.3 to 3.5 from a
+# linear start on a 17-node table of the benefit alone, at every degree
+# from 2 to 999.  The table depends on the contest alone, so a point's
+# pressure does not depend on the points queried with it; a query of a
+# few points pays for the whole table.  Bisection alone would get from
+# one cell of that table to the stopping width in about 43 steps, well
+# inside _NEWTON_CAP.
 _STOP_ULPS = 4.0
-_TABLE_NODES = 17
 _NEWTON_CAP = 100
 
 
@@ -154,36 +152,53 @@ def _start(t, nodes, table, slope=None):
     return x, lo, up
 
 
-def _invert_benefit(
-    targets: np.ndarray, rewards: RewardVector, hi: float, hermite: bool = True
-) -> np.ndarray:
+def _last_step(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """The rows (a[:-1], a[1:]) of the last de Casteljau step, and the
+    rounding noise of a benefit sum.
+
+    With S0, S1 the degree m-1 sums of the two rows, benefit =
+    (1-x) S0 + x S1 and benefit' = m (S1 - S0), both from one kernel
+    pass.  Each kernel mass carries up to about 2m rounding errors and
+    the sum m more, so a residual below 4 (m+1) eps max|a| is noise.
+    """
+    return np.stack((a[:-1], a[1:])), 4.0 * a.size * _EPS * float(np.max(np.abs(a)))
+
+
+def _entry_probability(rewards: RewardVector, c0: float) -> float:
+    """The root in (0, 1) of benefit(p) = c(0), for a_n < c(0) < a_1,
+    by :func:`bracketed_root` from the midpoint, stopping at the
+    benefit's rounding noise."""
+    pairs, noise = _last_step(rewards.as_array())
+    m = rewards.n - 1
+
+    def gap(x):
+        s0, s1 = bernstein(pairs, x)[:, 0].tolist()
+        return c0 - (x * (s1 - s0) + s0), m * (s0 - s1)
+
+    return bracketed_root(gap, 0.0, 1.0, ftol=noise)
+
+
+def _invert_benefit(targets: np.ndarray, rewards: RewardVector, hi: float) -> np.ndarray:
     """Solve expected_benefit(x) = target on [0, hi] for each target.
 
     Targets outside the attainable range clamp to the nearer endpoint.
     Each other target starts in the cell of a table that brackets it.
-    With ``hermite`` the table holds the benefit and its slope at _WALK
-    equally spaced nodes, from the same two sums as each Newton step,
-    and the start is the cubic Hermite interpolate of the inverse on
-    the cell; prizes that fall by equal steps make the benefit linear,
-    and the linear interpolate between its two ends is then every
-    target's exact start.  Without it the table holds the benefit at
-    _TABLE_NODES nodes and the start is the linear interpolate (see
-    :func:`_start`).  The target then runs a safeguarded Newton iteration inside its own bracket
-    [lo, up] with benefit(lo) > target > benefit(up): a step that would
-    leave the bracket is replaced by bisection.  A point stops once its
-    step or its bracket is a few ulps of [0, hi] wide, or once its
-    residual is down to rounding noise and one last short Newton step
-    refines it; the iteration cap bounds the work either way.
+    The table holds the benefit and its slope at _WALK equally spaced
+    nodes, from the same two sums as each Newton step, and the start is
+    the cubic Hermite interpolate of the inverse on the cell (see
+    :func:`_start`); prizes that fall by equal steps make the benefit
+    linear, and the linear interpolate between its two ends is then
+    every target's exact start.  The target then runs a safeguarded
+    Newton iteration inside its own bracket [lo, up] with
+    benefit(lo) > target > benefit(up): a step that would leave the
+    bracket is replaced by bisection.  A point stops once its step or
+    its bracket is a few ulps of [0, hi] wide, or once its residual is
+    down to rounding noise and one last short Newton step refines it;
+    the iteration cap bounds the work either way.
     """
     a = rewards.as_array()
     m = rewards.n - 1
-    # last de Casteljau step: with S0, S1 the degree m-1 sums of a[:-1]
-    # and a[1:], benefit = (1-x) S0 + x S1 and benefit' = m (S1 - S0),
-    # both from one kernel pass
-    pairs = np.stack((a[:-1], a[1:]))
-    # each kernel mass carries up to about 2m rounding errors and the sum
-    # m more, so a residual below this is noise
-    noise = 4.0 * (m + 1) * _EPS * np.max(np.abs(a))
+    pairs, noise = _last_step(a)
     # from a point this close, Newton's quadratic error is of order eps
     settle = np.sqrt(_EPS) * hi
     tol = _STOP_ULPS * _EPS * hi
@@ -214,18 +229,13 @@ def _invert_benefit(
     # or step, which _start and newton_step then turn into the linear
     # start or bisection
     with np.errstate(divide="ignore", invalid="ignore"):
-        if hermite:
-            # prize steps equal to within the noise leave the benefit
-            # linear to it, and the chord between its ends is then the
-            # exact start
-            curved = np.ptp(np.diff(a)) > noise
-            nodes = np.linspace(0.0, hi, _WALK if curved else 2)
-            s0, s1 = bernstein(pairs, nodes)
-            s1 -= s0
-            values, slope = nodes * s1 + s0, m * s1 if curved else None
-        else:
-            nodes = np.linspace(0.0, hi, _TABLE_NODES)
-            values, slope = bernstein(a, nodes), None
+        # prize steps equal to within the noise leave the benefit linear
+        # to it, and the chord between its ends is then the exact start
+        curved = np.ptp(np.diff(a)) > noise
+        nodes = np.linspace(0.0, hi, _WALK if curved else 2)
+        s0, s1 = bernstein(pairs, nodes)
+        s1 -= s0
+        values, slope = nodes * s1 + s0, m * s1 if curved else None
         # the running minimum keeps the table sorted where rounding makes
         # a flat stretch wiggle, so every cell found below brackets its
         # target
@@ -246,38 +256,6 @@ def _invert_benefit(
                 idx, t, x, lo, up = (v[keep] for v in (idx, t, x, lo, up))
     out[idx] = x
     return out
-
-
-def participation_probability(rewards: RewardVector, cost: CostModel) -> float:
-    """Equilibrium entry probability.
-
-    0 when even the top prize cannot cover the entry cost, 1 when the
-    last prize does, and otherwise the unique root of
-    expected_benefit(p) = c(0) in (0, 1).
-    """
-    c0 = cost.entry_cost
-    if rewards.top <= c0:
-        return 0.0
-    if rewards.last >= c0:
-        return 1.0
-    return float(_invert_benefit(np.array([c0]), rewards, 1.0, hermite=False)[0])
-
-
-def payoff_shift(rewards: RewardVector, cost: CostModel) -> float:
-    """Equilibrium profit level max(a_n - c(0), 0)."""
-    return max(rewards.last - cost.entry_cost, 0.0)
-
-
-def support_endpoint(rewards: RewardVector, cost: CostModel) -> float:
-    """Highest quality played in equilibrium: solves c(qbar) = a_1 - shift.
-
-    Reported as 0 in the no-entry regime, where no quality is played at
-    all.
-    """
-    c0 = cost.entry_cost
-    if rewards.top <= c0:
-        return 0.0
-    return float(cost.inverse(rewards.top - payoff_shift(rewards, cost)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,8 +344,9 @@ class EquilibriumSolution:
 def solve(rewards, cost: CostModel) -> EquilibriumSolution:
     """Compute the symmetric mixed-strategy equilibrium.
 
-    Every inversion stops at a few ulps of its bracket or at the
-    rounding noise of the benefit sum.
+    The one place that decides the regime, p, qbar and shift.  Every
+    inversion stops at a few ulps of its bracket or at the rounding
+    noise of the benefit sum.
     """
     if not isinstance(rewards, RewardVector):
         rewards = RewardVector(tuple(rewards))
@@ -378,16 +357,15 @@ def solve(rewards, cost: CostModel) -> EquilibriumSolution:
             "the marginal entrant would face an unbounded incentive to "
             "undercut at zero quality"
         )
-    shift = payoff_shift(rewards, cost)
+    shift = max(rewards.last - c0, 0.0)
     if rewards.top <= c0:
-        regime, p, qbar = REGIME_NO_ENTRY, 0.0, 0.0
+        regime, p = REGIME_NO_ENTRY, 0.0
     elif rewards.last >= c0:
         regime, p = REGIME_FULL, 1.0
-        qbar = support_endpoint(rewards, cost)
     else:
-        regime = REGIME_INTERIOR
-        p = participation_probability(rewards, cost)
-        qbar = support_endpoint(rewards, cost)
+        regime, p = REGIME_INTERIOR, _entry_probability(rewards, c0)
+    # no quality is played without entry, so the endpoint reads 0 there
+    qbar = float(cost.inverse(rewards.top - shift)) if p > 0.0 else 0.0
     return EquilibriumSolution(
         rewards=rewards,
         cost=cost,

@@ -109,6 +109,9 @@ def winner_take_all(n: int, prize: float) -> RewardVector:
     """The schedule (prize, 0, ..., 0)."""
     if n < 2:
         raise MechanismError("size", "a contest needs at least two ranks")
+    # checked before the n-tuple is built
+    if n > MAX_AGENTS:
+        raise MechanismError("size", f"at most {MAX_AGENTS} ranks supported")
     if not prize > 0.0:
         raise MechanismError(
             "strictness", "winner-take-all needs a strictly positive top prize"

@@ -41,17 +41,26 @@ from .equilibrium import (
     expected_benefit,
 )
 from .errors import DomainError
+from .mechanism import MAX_AGENTS
 from .quadrature import integrate
 
 
+def _check_rank(n: int, k: int) -> None:
+    # past MAX_AGENTS trials the kernel's start mass 2**-n can underflow
+    if n > MAX_AGENTS:
+        raise DomainError(f"at most {MAX_AGENTS} ranks supported, got {n}")
+    if not 1 <= k <= n:
+        raise DomainError(f"rank must be in 1..{n}")
+
+
 def binomial_tail(n: int, k: int, p: float) -> float:
-    """P(Binomial(n, p) >= k) = sum_{j=k}^n C(n, j) p**j (1-p)**(n-j).
+    """P(Binomial(n, p) >= k) = sum_{j=k}^n C(n, j) p**j (1-p)**(n-j),
+    for n up to ``MAX_AGENTS``.
 
     Also equals n * C(n-1, k-1) * integral_0^p x**(k-1) (1-x)**(n-k) dx,
     an identity the test-suite checks against direct quadrature.
     """
-    if not 1 <= k <= n:
-        raise DomainError(f"rank must be in 1..{n}")
+    _check_rank(n, k)
     if not 0.0 <= p <= 1.0:
         raise DomainError("probability must lie in [0, 1]")
     return float(tail_vector(n, p)[k])
@@ -66,8 +75,7 @@ def slope_bound_gap(n: int, s: int, p: float) -> float:
     raise of a lower prize costs.  The endpoints are excluded because
     the (1-p)**(1-s) factor degenerates there.
     """
-    if not 1 <= s <= n:
-        raise DomainError(f"rank must be in 1..{n}")
+    _check_rank(n, s)
     if not 0.0 < p < 1.0:
         raise DomainError("probability must lie strictly inside (0, 1)")
     lead = (1.0 - (1.0 - p) ** n) * math.comb(n - 1, s - 1)

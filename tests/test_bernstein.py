@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankcontest import RewardVector, benefit_slope, expected_benefit, solve
+from rankcontest import LinearCost, RewardVector, benefit_slope, expected_benefit, solve
 from rankcontest.binom import (
     _BLOCK,
     _WALK,
@@ -282,8 +282,8 @@ def interior_contest(n, seed):
 
 @pytest.mark.parametrize("n", [2, 3, 10, 200, 1000])
 def test_inversion_matches_oracle_at_every_target_count(n):
-    # the entry probability's one target and pressure batches of every
-    # size the starting table meets: 1, 2, m, m+1, 129 and 1,024
+    # the entry probability's scalar root find, and pressure batches of
+    # every size the starting table meets: 1, 2, m, m+1, 129 and 1,024
     rewards, cost, rng = interior_contest(n, seed=n)
     sol = solve(rewards, cost)
     assert abs(sol.p - bisect_benefit([cost.entry_cost], rewards, 1.0)[0]) <= 1e-12
@@ -308,10 +308,11 @@ def test_pressure_does_not_depend_on_batch(n):
 
 @pytest.mark.parametrize("n, count", [(3, 1), (10, 2), (120, 129), (1000, 1), (1000, 129)])
 def test_exact_top_ties_on_both_tables(n, count):
-    # one target on the entry probability's table of the benefit alone,
-    # several on the pressure table, where benefit'(0) = 0 makes the
-    # first cell's Hermite start infinite and the linear start takes
-    # over; the bound is test_exact_top_ties' own
+    # one target as the entry probability of a contest whose entry cost
+    # is that target, which solve finds by the scalar Newton iteration
+    # from 1/2; several on the pressure table, where benefit'(0) = 0
+    # makes the first cell's Hermite start infinite and the linear start
+    # takes over; the bound is test_exact_top_ties' own
     rng = np.random.default_rng(n + count)
     ties = min(3, n - 1)
     tail = np.sort(rng.uniform(0.0, 0.9, size=n - ties))[::-1]
@@ -320,7 +321,10 @@ def test_exact_top_ties_on_both_tables(n, count):
     gaps = rng.uniform(0.0, 1.0, count)
     gaps[:14] = np.logspace(-14, -1, 14)[:count]
     targets = 1.0 - gaps * (1.0 - bottom)
-    got = _invert_benefit(targets, rewards, 1.0, hermite=count > 1)
+    if count == 1:
+        got = np.array([solve(rewards, LinearCost(c0=targets[0], slope=1.0)).p])
+    else:
+        got = _invert_benefit(targets, rewards, 1.0)
     oracle = bisect_benefit(targets, rewards, 1.0)
     noise = inversion_noise(rewards)
     with np.errstate(divide="ignore"):

@@ -5,9 +5,11 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from rankcontest import cli, quadrature
+from rankcontest import RewardVector, cli, quadrature, solve
+from conftest import GOLDEN_COST
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +89,11 @@ OUT_OF_RANGE = [
     ("metrics", "quad_tol", -1.0),
     ("metrics", "quad_tol", 0.0),
     ("metrics", "quad_tol", float("inf")),
+    # past mechanism.MAX_AGENTS ranks, before any schedule is built
+    ("solve", "n", 1001),
+    ("tax-sweep", "n", 1001),
+    ("avg-sign-sweep", "n", 1001),
+    ("wta-trial", "n", 1001),
 ]
 # (command, key, config value) of the wrong JSON type
 WRONG_TYPE = [
@@ -220,6 +227,26 @@ class TestSolve:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "q,G,x,payoff_residual"
         assert len(lines) == 18
+
+    def test_grid_inverted_twice(self, capsys, tmp_path, kernel_work):
+        # G comes from the pressure already at hand, by cdf's formula, so
+        # the grid is inverted for the pressure and the payoff residual
+        # only: the kernel work of solve, pressure and payoff_residual
+        path = tmp_path / "grid.csv"
+        argv = ["solve", "--rewards", "1,0.6,0.25,0", "--cost", "linear:c0=0.25,slope=1"]
+        code, _ = run_cli(capsys, *argv, "--csv", str(path))
+        assert code == 0
+        assert kernel_work.calls == 12
+        kernel_work.reset()
+        sol = solve(RewardVector((1.0, 0.6, 0.25, 0.0)), GOLDEN_COST)
+        grid = np.linspace(0.0, sol.qbar, 129)
+        sol.pressure(grid)
+        sol.payoff_residual(grid)
+        assert kernel_work.calls == 12
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 0], grid)
+        assert np.array_equal(table[:, 1], sol.cdf(grid))
+        assert np.array_equal(table[:, 2], sol.pressure(grid))
 
     def test_wta_constructor(self, capsys):
         code, record = run_cli(
@@ -503,7 +530,7 @@ class TestSurface:
             assert read_by.split(", ") == readers, name
             relation, limit = declared.metadata["bound"] or ("", "")
             if isinstance(limit, tuple):
-                limit = ", ".join(limit)
+                limit = ", ".join(map(str, limit))
             assert bound == f"{relation} {limit}".strip(), name
             if declared.default is not None:
                 assert default == str(declared.default) or float(default) == declared.default

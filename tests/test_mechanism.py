@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,19 @@ class TestWinnerTakeAll:
     def test_zero_prize_rejected(self):
         with pytest.raises(MechanismError):
             winner_take_all(3, 0.0)
+
+    def test_too_many_ranks_refused_before_building(self):
+        # the size check comes before the (n-1)-tuple of zeros, 77.5 MB
+        # at n = 5e6
+        assert winner_take_all(mechanism.MAX_AGENTS, 1.0).n == mechanism.MAX_AGENTS
+        tracemalloc.start()
+        try:
+            with pytest.raises(MechanismError, match="at most 1000 ranks"):
+                winner_take_all(5_000_000, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestAttentionSchedule:

@@ -28,6 +28,7 @@ from rankcontest import (
     solve,
 )
 from rankcontest.equilibrium import EquilibriumSolution
+from rankcontest.mechanism import MAX_AGENTS
 from rankcontest.quadrature import integrate
 from conftest import (
     GOLDEN_COST,
@@ -70,6 +71,19 @@ class TestBinomialTail:
         with pytest.raises(DomainError):
             binomial_tail(3, 1, 1.5)
 
+    def test_refuses_more_trials_than_ranks_supported(self, monkeypatch):
+        # past the limit the kernel's start mass 2**-n underflows (the
+        # tail of 1.0 here would read 0.0), so the check comes before
+        # any mass is built
+        assert binomial_tail(MAX_AGENTS, 1, 0.5) == pytest.approx(1.0)
+
+        def unreachable(m, x):
+            raise AssertionError("tail_vector called")
+
+        monkeypatch.setattr(metrics, "tail_vector", unreachable)
+        with pytest.raises(DomainError, match="at most 1000 ranks"):
+            binomial_tail(1075, 1, 0.5)
+
 
 class TestSlopeBoundGap:
     def test_first_rank_gap_vanishes(self):
@@ -91,6 +105,18 @@ class TestSlopeBoundGap:
             slope_bound_gap(3, 2, 0.0)
         with pytest.raises(DomainError):
             slope_bound_gap(3, 2, 1.0)
+
+    def test_refuses_more_trials_than_ranks_supported(self, monkeypatch):
+        # past the limit the tail underflows (the gap of 2998.0 here
+        # would read 2999.0)
+        assert slope_bound_gap(MAX_AGENTS, 2, 0.5) == pytest.approx(998.0)
+
+        def unreachable(m, x):
+            raise AssertionError("tail_vector called")
+
+        monkeypatch.setattr(metrics, "tail_vector", unreachable)
+        with pytest.raises(DomainError, match="at most 1000 ranks"):
+            slope_bound_gap(3000, 2, 0.5)
 
 
 class TestBudget:
