@@ -73,7 +73,6 @@ from .metrics import (
     expected_budget,
     expected_max_quality,
     rank_probability,
-    rank_probability_at,
     slope_bound_gap,
 )
 from .montecarlo import (
@@ -133,7 +132,6 @@ __all__ = [
     "parse_cost",
     "play_round",
     "rank_probability",
-    "rank_probability_at",
     "rescale_to_budget",
     "reward_sensitivity",
     "run",

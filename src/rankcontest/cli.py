@@ -15,6 +15,7 @@ non-convergence, 4 verification failure.
 import argparse
 import csv as csv_module
 import json
+import math
 import operator
 import sys
 import time
@@ -28,6 +29,7 @@ from . import __version__
 from .binom import bernstein
 from .costs import CostModel, parse_cost
 from .design import (
+    _MAX_CANDIDATES,
     attention_certificate,
     avg_sign_vs_budget,
     budget_matched_derivative,
@@ -90,9 +92,13 @@ class InstanceSpec:
     taxes: list[float] | None = _setting(None, "entry taxes (default 0,0.01,0.02)")
     budgets: list[float] | None = _setting(None, "budgets to sweep, e.g. 1,2,4")
     budget: float | None = _setting(None, "budget every trial schedule pays")
-    grid: int = _setting(129, "evaluation grid size", ("at least", 1))
+    # time and memory grow linearly with the grid
+    grid: int = _setting(129, "evaluation grid size", ("between", (1, 10_000)))
     margin: float = _setting(0.25, "grid extension past qbar")
-    levels: int = _setting(5, "lattice levels per rank", ("at least", 2))
+    # more levels than this cannot fit a lattice of two or more ranks
+    levels: int = _setting(
+        5, "lattice levels per rank", ("between", (2, math.isqrt(_MAX_CANDIDATES)))
+    )
     suite: str = _setting(
         "all", "identities, golden or all", ("one of", ("identities", "golden", "all"))
     )
@@ -106,7 +112,6 @@ class InstanceSpec:
 SETTINGS = {f.name: f for f in fields(InstanceSpec)}
 _RELATIONS = {
     "at least": operator.ge,
-    "above": operator.gt,
     "between": lambda v, span: span[0] <= v <= span[1],
     "one of": lambda v, of: v in of,
 }

@@ -34,7 +34,7 @@ from .errors import ContestError, ConvergenceError, DomainError
 from .mechanism import AttentionCaps, RewardVector, attention_schedule, winner_take_all
 from .metrics import contest_metrics, expected_budget, expected_max_quality
 from .quadrature import integrate
-from .rootfind import bracketed_root
+from .rootfind import _rounding_noise, bracketed_root
 
 _SENSITIVITY_GRID = 50
 _GAP_TINY = 1e-12
@@ -42,7 +42,6 @@ _MAX_CANDIDATES = 4000  # largest lattice attention_certificate will search
 _TIE_TOL = 1e-7  # quality gap attention_certificate counts as a tie
 _CROSSOVER_MAX_ITER = 60
 _NOISE_TOL = 1e-7  # lead over winner-take-all that counts as a violation
-_EPS = float(np.finfo(float).eps)
 
 
 def _default_step(rewards: RewardVector) -> float:
@@ -258,8 +257,8 @@ def _match_budget(u, v, lo, cost, target, start=None):
     prizes = u + lo * v
     floor = solve(RewardVector(tuple(prizes)), cost)
     paid = expected_budget(floor)
-    # rounding noise of a payout: a sum of n prizes times tail odds
-    noise = 4.0 * n * _EPS * max(abs(target), np.max(np.abs(prizes)))
+    # a payout is a sum of n prizes times tail odds
+    noise = _rounding_noise(n, max(abs(target), np.max(np.abs(prizes))))
     if paid - target > noise:
         raise DomainError(
             f"budget match infeasible: the lowest admissible schedule already "
@@ -285,9 +284,9 @@ def _match_budget(u, v, lo, cost, target, start=None):
         slope = (n - 1) * ((s1u - s0u) + t * (s1v - s0v))
         return c0 - benefit, n * benefit * bv / (v @ tails) - slope
 
-    # rounding noise of the residual: at the root the benefit is c(0),
-    # and only the tail prizes in u can make its terms larger
-    ftol = 4.0 * n * _EPS * max(c0, np.max(np.abs(u)))
+    # at the root the benefit is c(0), and only the tail prizes in u can
+    # make the residual's terms larger
+    ftol = _rounding_noise(n, max(c0, np.max(np.abs(u))))
     try:
         p = bracketed_root(residual, floor.p, 1.0, ftol=ftol, start=start)
     except ConvergenceError as exc:
@@ -497,10 +496,12 @@ def tax_sweep(
     (a1*, -t, ..., -t) at the same expected payout.  Rows whose tax is
     infeasible are flagged rather than fatal.  The tax both thins entry
     and funds a larger top prize; under a non-increasing c'/c the best
-    contribution improves.
+    contribution improves.  A bad ``n`` or ``prize`` raises, as it would
+    for every row.
     """
     if not cost.has_entry_cost:
         raise DomainError("taxing entry requires a positive entry cost c(0)")
+    winner_take_all(n, prize)
     rows = []
     for tax in taxes:
         tax = float(tax)

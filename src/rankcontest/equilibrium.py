@@ -53,37 +53,25 @@ from .binom import _WALK, bernstein
 from .costs import CostModel
 from .errors import DomainError, StateError
 from .mechanism import RewardVector
-from .rootfind import bracketed_root
+from .rootfind import _EPS, _MAX_ITER, _STOP_ULPS, _rounding_noise, bracketed_root
 
 REGIME_NO_ENTRY = "no_entry"
 REGIME_INTERIOR = "interior"
 REGIME_FULL = "full"
 
 _X_SLACK = 1e-12
-_EPS = float(np.finfo(float).eps)
-# Pressure inversion: a step or bracket within _STOP_ULPS ulps of [0, hi]
-# ends the iteration.  Each target starts on a table of the benefit and
-# its slope at _WALK nodes (the kernel's walk block, past which the
-# table would leave the walk): a node costs the kernel work of one
-# target's Newton pass, and from it a target takes about 2 passes (a
-# start not already at the root needs 2), against 3.3 to 3.5 from a
-# linear start on a 17-node table of the benefit alone, at every degree
-# from 2 to 999.  The table depends on the contest alone, so a point's
-# pressure does not depend on the points queried with it; a query of a
-# few points pays for the whole table.  Bisection alone would get from
-# one cell of that table to the stopping width in about 43 steps, well
-# inside _NEWTON_CAP.
-_STOP_ULPS = 4.0
-_NEWTON_CAP = 100
 
 
-def _as_unit_interval(x, name: str) -> tuple[np.ndarray, bool]:
+def _in_range(x, hi: float, what: str) -> tuple[np.ndarray, bool]:
+    """``x`` as a 1-d array clipped to [0, hi], and whether it was a
+    scalar; a value more than _X_SLACK max(1, hi) outside is refused."""
     scalar = np.ndim(x) == 0
     arr = np.atleast_1d(np.asarray(x, dtype=float))
+    slack = _X_SLACK * max(1.0, hi)
     # written so that NaN fails the test as well
-    if not np.all((arr >= -_X_SLACK) & (arr <= 1.0 + _X_SLACK)):
-        raise DomainError(f"{name} must lie in [0, 1]")
-    return np.clip(arr, 0.0, 1.0), scalar
+    if not np.all((arr >= -slack) & (arr <= hi + slack)):
+        raise DomainError(f"{what} must lie in [0, {hi}]")
+    return np.clip(arr, 0.0, hi), scalar
 
 
 def expected_benefit(x, rewards: RewardVector):
@@ -93,7 +81,7 @@ def expected_benefit(x, rewards: RewardVector):
     Equals a_1 at x = 0 and a_n at x = 1, and is strictly decreasing in
     between.  Accepts scalars or arrays.
     """
-    arr, scalar = _as_unit_interval(x, "competitor pressure")
+    arr, scalar = _in_range(x, 1, "competitor pressure")
     out = bernstein(rewards.as_array(), arr)
     return float(out[0]) if scalar else out
 
@@ -105,7 +93,7 @@ def benefit_slope(x, rewards: RewardVector):
     (1-x)**(n-2-i), which is <= 0 everywhere and strictly negative on
     (0, 1) for a monotone schedule with a strict step.
     """
-    arr, scalar = _as_unit_interval(x, "competitor pressure")
+    arr, scalar = _in_range(x, 1, "competitor pressure")
     out = (rewards.n - 1) * bernstein(np.diff(rewards.as_array()), arr)
     return float(out[0]) if scalar else out
 
@@ -161,7 +149,7 @@ def _last_step(a: np.ndarray) -> tuple[np.ndarray, float]:
     pass.  Each kernel mass carries up to about 2m rounding errors and
     the sum m more, so a residual below 4 (m+1) eps max|a| is noise.
     """
-    return np.stack((a[:-1], a[1:])), 4.0 * a.size * _EPS * float(np.max(np.abs(a)))
+    return np.stack((a[:-1], a[1:])), _rounding_noise(a.size, float(np.max(np.abs(a))))
 
 
 def _entry_probability(rewards: RewardVector, c0: float) -> float:
@@ -176,6 +164,20 @@ def _entry_probability(rewards: RewardVector, c0: float) -> float:
         return c0 - (x * (s1 - s0) + s0), m * (s0 - s1)
 
     return bracketed_root(gap, 0.0, 1.0, ftol=noise)
+
+
+# Pressure inversion: a step or bracket within _STOP_ULPS ulps of [0, hi]
+# ends the iteration.  Each target starts on a table of the benefit and
+# its slope at _WALK nodes (the kernel's walk block, past which the
+# table would leave the walk): a node costs the kernel work of one
+# target's Newton pass, and from it a target takes about 2 passes (a
+# start not already at the root needs 2), against 3.3 to 3.5 from a
+# linear start on a 17-node table of the benefit alone, at every degree
+# from 2 to 999.  The table depends on the contest alone, so a point's
+# pressure does not depend on the points queried with it; a query of a
+# few points pays for the whole table.  Bisection alone would get from
+# one cell of that table to the stopping width in about 43 steps, well
+# inside _MAX_ITER.
 
 
 def _invert_benefit(targets: np.ndarray, rewards: RewardVector, hi: float) -> np.ndarray:
@@ -246,7 +248,7 @@ def _invert_benefit(targets: np.ndarray, rewards: RewardVector, hi: float) -> np
         idx = np.flatnonzero((targets < table[0]) & (targets > table[-1]))
         t = targets[idx]
         x, lo, up = _start(t, nodes, table, slope)
-        for _ in range(_NEWTON_CAP):
+        for _ in range(_MAX_ITER):
             if idx.size == 0:
                 break
             done = newton_step(t, x, lo, up)
@@ -283,18 +285,10 @@ class EquilibriumSolution:
                 "no-entry equilibrium: the quality distribution is undefined"
             )
 
-    def _check_support(self, q) -> tuple[np.ndarray, bool]:
-        scalar = np.ndim(q) == 0
-        arr = np.atleast_1d(np.asarray(q, dtype=float))
-        slack = _X_SLACK * max(1.0, self.qbar)
-        if not np.all((arr >= -slack) & (arr <= self.qbar + slack)):
-            raise DomainError(f"quality must lie in [0, qbar={self.qbar}]")
-        return np.clip(arr, 0.0, self.qbar), scalar
-
     def pressure(self, q):
         """Competitor pressure x(q) = p * (1 - G(q)) on the support."""
         self._require_entry()
-        arr, scalar = self._check_support(q)
+        arr, scalar = _in_range(q, self.qbar, "quality")
         targets = np.asarray(self.cost.value(arr), dtype=float) + self.shift
         x = _invert_benefit(targets, self.rewards, self.p)
         return float(x[0]) if scalar else x
@@ -311,7 +305,7 @@ class EquilibriumSolution:
         q(u) = c^{-1}(benefit(p * (1 - u)) - shift).
         """
         self._require_entry()
-        arr, scalar = _as_unit_interval(u, "quantile level")
+        arr, scalar = _in_range(u, 1, "quantile level")
         targets = expected_benefit(self.p * (1.0 - arr), self.rewards) - self.shift
         q = np.asarray(self.cost.inverse(targets), dtype=float)
         q = np.clip(q, 0.0, self.qbar)

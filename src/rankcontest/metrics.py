@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binom import bernstein, tail_vector
+from .binom import tail_vector
 from .equilibrium import (
     REGIME_NO_ENTRY,
     EquilibriumSolution,
@@ -166,32 +166,17 @@ def _quality_integral(sol, which, method):
     return integrate(f, 0.0, hi)
 
 
-def rank_probability_at(sol: EquilibriumSolution, k: int, q) -> float:
-    """Probability that an entrant playing quality q lands on rank k.
-
-    The other n-1 agents each beat q with probability x(q), so the rank
-    count is Binomial(n-1, x(q)) and this is its mass at k-1: the
-    Bernstein sum of the unit row e_{k-1}.
-    """
-    if not 1 <= k <= sol.n:
-        raise DomainError(f"rank must be in 1..{sol.n}")
-    scalar = np.ndim(q) == 0
-    x = np.atleast_1d(sol.pressure(q))
-    out = bernstein(np.eye(1, sol.n, k - 1)[0], x)
-    return float(out[0]) if scalar else out
-
-
 def rank_probability(sol: EquilibriumSolution, k: int) -> float:
     """Probability that one named agent ends up holding rank k.
 
     By symmetry each of the n agents is equally likely to hold any
-    realized rank, which collapses the support integral of
-    rank_probability_at against the quality density to the closed form
+    realized rank, which collapses the support integral of the
+    Binomial(n-1, x(q)) mass at k-1 (the odds that an entrant at quality
+    q lands on rank k) against the quality density to the closed form
     binomial_tail(n, k, p) / n.  Summed over k this returns p: a rank is
     held exactly when the agent enters.
     """
-    if not 1 <= k <= sol.n:
-        raise DomainError(f"rank must be in 1..{sol.n}")
+    _check_rank(sol.n, k)
     return binomial_tail(sol.n, k, sol.p) / sol.n if sol.p > 0.0 else 0.0
 
 

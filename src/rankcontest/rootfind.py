@@ -1,4 +1,7 @@
-"""Safeguarded Newton iteration for an increasing scalar objective."""
+"""Safeguarded Newton iteration for an increasing scalar objective, and
+the stopping rules every root finder in the library shares: the
+iteration cap, the ulp width that ends a step or bracket, and the
+rounding noise of a sum."""
 
 import math
 
@@ -8,6 +11,13 @@ _MAX_ITER = 100
 # a Newton step or bracket this many ulps of its ends wide stops it
 _STOP_ULPS = 4.0
 _EPS = 2.0**-52
+
+
+def _rounding_noise(terms, scale):
+    """Rounding noise of a sum of ``terms`` products of magnitude up to
+    ``scale``: a residual below 4 terms eps scale is indistinguishable
+    from zero."""
+    return 4.0 * terms * _EPS * scale
 
 
 def bracketed_root(g, lo: float, hi: float, *, ftol: float, start: float | None = None) -> float:

@@ -20,6 +20,7 @@ from rankcontest import (
     solve,
 )
 from rankcontest import equilibrium, quadrature
+from rankcontest.binom import bernstein
 from rankcontest.design import _default_step
 from rankcontest.equilibrium import REGIME_NO_ENTRY
 from rankcontest.montecarlo import (
@@ -162,6 +163,15 @@ def matrix_slope(x, rewards):
     """Benefit slope as the prize steps times the full mass matrix."""
     steps = np.diff(rewards.as_array())
     return (rewards.n - 1) * (steps @ pmf_matrix(rewards.n - 2, x))
+
+
+def rank_mass_at(sol, k, q):
+    """Probability that an entrant playing quality q lands on rank k: the
+    Binomial(n-1, x(q)) mass at k-1, the Bernstein sum of the unit row
+    e_{k-1} at the pressure.  A float for a scalar q."""
+    x = np.atleast_1d(sol.pressure(q))
+    out = bernstein(np.eye(1, sol.n, k - 1)[0], x)
+    return float(out[0]) if np.ndim(q) == 0 else out
 
 
 def bisect_benefit(targets, rewards, hi):

@@ -94,6 +94,10 @@ OUT_OF_RANGE = [
     ("tax-sweep", "n", 1001),
     ("avg-sign-sweep", "n", 1001),
     ("wta-trial", "n", 1001),
+    # time and memory grow with the grid, and no lattice of two or more
+    # ranks fits design._MAX_CANDIDATES at 64 levels
+    ("deviate", "grid", 10_001),
+    ("design-attention", "levels", 64),
 ]
 # (command, key, config value) of the wrong JSON type
 WRONG_TYPE = [
@@ -337,6 +341,17 @@ class TestExitCodes:
         assert code == 1
         assert "unrecognized arguments: " + flag in run_cli.err
 
+    def test_levels_refused_before_the_lattice_is_built(self, capsys):
+        # the setting's bound, not attention_certificate's lattice cap,
+        # refuses it, so no million-level tuple is built first
+        code, record = run_cli(
+            capsys, "design-attention", "--caps", "1,0.5",
+            "--cost", "linear:c0=0.25,slope=1", "--levels", "1000000",
+        )
+        assert code == 2
+        assert record is None
+        assert "levels must be between (2, 63), got 1000000" in run_cli.err
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command, key, value", OUT_OF_RANGE)
     def test_out_of_range_setting_validation(
@@ -480,6 +495,16 @@ class TestCommandOutputs:
         budgets = [row["budget"] for row in rows]
         assert max(budgets) - min(budgets) <= 1e-8
         assert len(path.read_text().strip().splitlines()) == 4
+
+    def test_tax_sweep_bad_prize_refused(self, capsys):
+        # every row would fail alike, so the run fails instead
+        code, record = run_cli(
+            capsys, "tax-sweep", "--n", "3", "--wta", "-1",
+            "--cost", "linear:c0=0.25,slope=1",
+        )
+        assert code == 2
+        assert record is None
+        assert "winner-take-all needs a strictly positive top prize" in run_cli.err
 
     def test_wta_trial(self, capsys, schema):
         code, record = run_cli(

@@ -9,6 +9,7 @@ from rankcontest import (
     DomainError,
     ExponentialCost,
     LinearCost,
+    MechanismError,
     QuadraticPlusCost,
     RewardVector,
     attention_certificate,
@@ -530,6 +531,12 @@ class TestTaxSweep:
     def test_requires_entry_cost(self):
         with pytest.raises(DomainError):
             tax_sweep(3, 1.0, LinearCost(c0=0.0, slope=1.0), [0.0])
+
+    @pytest.mark.parametrize("n, prize", [(3, -1.0), (3, 0.0), (1, 1.0), (1001, 1.0)])
+    def test_bad_contest_raises_instead_of_failing_rows(self, n, prize):
+        # a bad n or prize would fail every row alike
+        with pytest.raises(MechanismError):
+            tax_sweep(n, prize, COST, [0.0, 0.01])
 
 
 class TestBudgetHelpers:

@@ -39,10 +39,9 @@ class TestBenefit:
 
     def test_domain(self):
         rv = RewardVector((1.0, 0.0))
-        with pytest.raises(DomainError):
-            expected_benefit(-0.2, rv)
-        with pytest.raises(DomainError):
-            expected_benefit(1.2, rv)
+        for x in (-0.2, 1.2):
+            with pytest.raises(DomainError, match=r"competitor pressure must lie in \[0, 1\]$"):
+                expected_benefit(x, rv)
 
 
 class TestBenefitSlope:
@@ -181,10 +180,9 @@ class TestSolvedCdf:
             assert np.all(np.diff(cdf) <= 1.05 * cell * dq + 1e-9)
 
     def test_domain_and_state_errors(self, golden_interior):
-        with pytest.raises(DomainError):
-            golden_interior.cdf(0.76)
-        with pytest.raises(DomainError):
-            golden_interior.cdf(-0.01)
+        for q in (0.76, -0.01):
+            with pytest.raises(DomainError, match=r"quality must lie in \[0, 0\.75\]$"):
+                golden_interior.cdf(q)
         no_entry = solve(RewardVector((0.2, 0.0)), GOLDEN_COST)
         with pytest.raises(StateError):
             no_entry.cdf(0.0)

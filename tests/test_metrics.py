@@ -23,7 +23,6 @@ from rankcontest import (
     expected_budget,
     expected_max_quality,
     rank_probability,
-    rank_probability_at,
     slope_bound_gap,
     solve,
 )
@@ -37,6 +36,7 @@ from conftest import (
     random_cost,
     random_instance,
     random_rewards,
+    rank_mass_at,
 )
 
 
@@ -190,18 +190,18 @@ class TestQualityIntegrals:
 
 class TestRankProbabilities:
     def test_top_quality_always_wins(self, golden_interior):
-        assert rank_probability_at(golden_interior, 1, golden_interior.qbar) == (
+        assert rank_mass_at(golden_interior, 1, golden_interior.qbar) == (
             pytest.approx(1.0, abs=1e-9)
         )
 
     def test_top_quality_never_last(self, golden_interior):
-        assert rank_probability_at(golden_interior, 2, golden_interior.qbar) == (
+        assert rank_mass_at(golden_interior, 2, golden_interior.qbar) == (
             pytest.approx(0.0, abs=1e-9)
         )
 
     def test_even_pressure_point(self, golden_interior):
         # x(q) = 0.75 - q, so x(0.25) = 0.5
-        assert rank_probability_at(golden_interior, 2, 0.25) == pytest.approx(
+        assert rank_mass_at(golden_interior, 2, 0.25) == pytest.approx(
             0.5, abs=1e-10
         )
 
@@ -217,15 +217,21 @@ class TestRankProbabilities:
             q = np.linspace(0.0, sol.qbar, 17)
             masses = pmf_matrix(sol.n - 1, sol.pressure(q))
             for k in {1, 2, (sol.n + 1) // 2, sol.n}:
-                got = rank_probability_at(sol, k, q)
+                got = rank_mass_at(sol, k, q)
                 assert np.max(np.abs(got - masses[k - 1])) <= 8.0 * sol.n * np.finfo(float).eps
-                assert rank_probability_at(sol, k, float(q[5])) == got[5]
+                assert rank_mass_at(sol, k, float(q[5])) == got[5]
 
     def test_rank_out_of_range(self, golden_interior):
-        with pytest.raises(DomainError):
-            rank_probability_at(golden_interior, 3, 0.1)
-        with pytest.raises(DomainError):
-            rank_probability(golden_interior, 0)
+        for k in (0, 3):
+            with pytest.raises(DomainError, match=r"rank must be in 1\.\.2"):
+                rank_probability(golden_interior, k)
+
+    def test_pointwise_rank_odds_removed(self):
+        # rank_probability_at had no caller; its formula is the conftest
+        # oracle rank_mass_at
+        assert not hasattr(rankcontest, "rank_probability_at")
+        assert "rank_probability_at" not in rankcontest.__all__
+        assert not hasattr(metrics, "rank_probability_at")
 
     def test_golden_closed_form(self, golden_interior):
         assert rank_probability(golden_interior, 1) == pytest.approx(0.46875)
@@ -260,7 +266,7 @@ class TestRankProbabilities:
                 def integrand(q, k=k):
                     x = sol.pressure(q)
                     weight = cost.derivative(q) / abs(benefit_slope(x, rewards))
-                    return rank_probability_at(sol, k, q) * weight
+                    return rank_mass_at(sol, k, q) * weight
 
                 value, _ = sp_integrate.quad(
                     integrand, 0.0, sol.qbar, limit=200, epsabs=1e-10, epsrel=1e-10
