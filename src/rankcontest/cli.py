@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .binom import bernstein
-from .costs import CostModel, parse_cost
+from .costs import CostModel, ExponentialCost, LinearCost, QuadraticPlusCost, parse_cost
 from .design import (
     _MAX_CANDIDATES,
     attention_certificate,
@@ -47,7 +47,14 @@ from .errors import (
     StateError,
 )
 from .mechanism import MAX_AGENTS, AttentionCaps, RewardVector, attention_schedule, winner_take_all
-from .metrics import binomial_tail, contest_metrics, slope_bound_gap
+from .metrics import (
+    binomial_tail,
+    contest_metrics,
+    expected_avg_quality,
+    expected_budget,
+    expected_max_quality,
+    slope_bound_gap,
+)
 from .montecarlo import deviation_check, run as run_simulation
 from .quadrature import integrate
 
@@ -353,9 +360,6 @@ def _cmd_wta_trial(spec: InstanceSpec):
 
 
 def _golden_checks():
-    from .costs import LinearCost
-    from .metrics import expected_avg_quality, expected_budget, expected_max_quality
-
     cost = LinearCost(c0=0.25, slope=1.0)
     interior = solve(RewardVector((1.0, 0.0)), cost)
     full = solve(RewardVector((1.0, 0.5)), cost)
@@ -403,6 +407,30 @@ def _identity_checks():
     fd = (expected_benefit(x + h, rewards) - expected_benefit(x - h, rewards)) / (2 * h)
     slope = benefit_slope(x, rewards)
     checks.append(("benefit slope matches finite difference", abs(fd - slope) <= 1e-6))
+
+    # rent dissipation: c(q(x)) = benefit(x) - shift on [0, p], whose
+    # integral is B/n - shift p; interior and full entry per family
+    worst_rent = 0.0
+    for cost in (LinearCost(c0=0.25), ExponentialCost(k=1.0), QuadraticPlusCost(c0=0.1, b=2.0)):
+        for shape in ((3.0, 1.8, 0.8, 0.0), (3.0, 2.0, 1.5, 1.2)):
+            sol = solve(RewardVector(tuple(cost.entry_cost * np.array(shape))), cost)
+
+            def rent(x, sol=sol):
+                q = sol.cost.inverse(expected_benefit(x, sol.rewards) - sol.shift)
+                return sol.cost.value(q)
+
+            integral, _ = integrate(rent, 0.0, sol.p)
+            exact = expected_budget(sol) / sol.n - sol.shift * sol.p
+            worst_rent = max(worst_rent, abs(integral - exact) / exact)
+    checks.append((f"rent dissipation (worst {worst_rent:.2e})", worst_rent <= 1e-12))
+
+    # linear costs: E[avg] = (B/n - (c0 + shift) p) / s, here on tied top
+    # prizes, which take the pressure-space route
+    cost = LinearCost(c0=0.25, slope=2.0)
+    sol = solve(RewardVector((1.0, 1.0, 0.5, 0.0)), cost)
+    exact = (expected_budget(sol) / sol.n - (cost.c0 + sol.shift) * sol.p) / cost.slope
+    err = abs(expected_avg_quality(sol) - exact)
+    checks.append((f"linear E[avg] closed form, tied top (worst {err:.2e})", err <= 1e-12))
     return checks
 
 

@@ -32,7 +32,7 @@ from .costs import CostModel, HAZARD_CONSTANT, HAZARD_NONINCREASING
 from .equilibrium import REGIME_FULL, REGIME_NO_ENTRY, benefit_slope, solve
 from .errors import ContestError, ConvergenceError, DomainError
 from .mechanism import AttentionCaps, RewardVector, attention_schedule, winner_take_all
-from .metrics import contest_metrics, expected_budget, expected_max_quality
+from .metrics import _by_parts, contest_metrics, expected_budget, expected_max_quality
 from .quadrature import integrate
 from .rootfind import _rounding_noise, bracketed_root
 
@@ -420,13 +420,11 @@ def _budget_matched_derivative(rewards, cost, rank, base_sol):
     da1 = float(-d_budget[1] / d_budget[0])
 
     def integrand(x):
-        benefit, b1, bs = bernstein(rows, x)
-        scale = 1.0 / cost.derivative(cost.inverse(benefit - base_sol.shift))
-        b1 *= scale
-        bs -= dshift
-        bs *= scale
-        w = n * (1.0 - x) ** (n - 1)
-        return np.stack((b1 * w, bs * w, b1, bs))
+        sums = bernstein(rows, x)
+        basis = sums[1:]
+        basis[1] -= dshift
+        basis *= 1.0 / cost.derivative(cost.inverse(sums[0] - base_sol.shift))
+        return _by_parts(basis, x, n)
 
     (max1, maxs, avg1, avgs), _ = integrate(integrand, 0.0, p)
     return PerturbationResult(
@@ -467,6 +465,10 @@ def taxed_wta(n: int, prize: float, tax: float, cost: CostModel) -> RewardVector
     collected from entrants funds a higher top prize; with tax == 0 the
     plain winner-take-all vector is returned unchanged.
     """
+    return _taxed_wta(n, prize, tax, cost, None)
+
+
+def _taxed_wta(n, prize, tax, cost, base_sol):
     if tax < 0.0:
         raise DomainError("tax must be nonnegative")
     if not cost.has_entry_cost:
@@ -478,7 +480,8 @@ def taxed_wta(n: int, prize: float, tax: float, cost: CostModel) -> RewardVector
         raise DomainError(
             "the untaxed top prize must exceed c(0), otherwise nobody enters"
         )
-    base_sol = solve(base, cost)
+    if base_sol is None:
+        base_sol = solve(base, cost)
     tail = np.full(n, -float(tax))
     tail[0] = 0.0
     lo = cost.entry_cost * (1.0 + 1e-12)
@@ -501,13 +504,15 @@ def tax_sweep(
     """
     if not cost.has_entry_cost:
         raise DomainError("taxing entry requires a positive entry cost c(0)")
-    winner_take_all(n, prize)
+    # the untaxed contest is solved once: the tax-0 row and every
+    # taxed row's payout target share it
+    base_sol = solve(winner_take_all(n, prize), cost)
     rows = []
     for tax in taxes:
         tax = float(tax)
         try:
-            vec = taxed_wta(n, prize, tax, cost)
-            sol = solve(vec, cost)
+            vec = _taxed_wta(n, prize, tax, cost, base_sol)
+            sol = base_sol if tax == 0.0 else solve(vec, cost)
             report = contest_metrics(sol)
             rows.append(
                 TaxRow(

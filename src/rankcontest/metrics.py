@@ -23,9 +23,11 @@ quality integrate over the same nodes, so :func:`contest_metrics` runs
 them as two rows of one pass and inverts the pressure at each node once
 for both; each row keeps its own stopping test, so it returns exactly
 what :func:`expected_max_quality` or :func:`expected_avg_quality` does
-alone.  A second, substitution route for the same integrals
-(integrating over pressure instead of quality, using the exact cost
-inverse) is kept as a cross-check.
+alone.  A second route integrates them by parts in pressure space,
+with q(x) = c^{-1}(benefit(x) - shift): E[max] and E[avg] are the
+integrals over [0, p] of q(x) n (1-x)**(n-1) and of q(x), at one kernel
+pass and one cost inverse per node.  It takes the tied prizes that
+stall the first route, and is kept as its cross-check.
 """
 
 import math
@@ -34,12 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binom import tail_vector
-from .equilibrium import (
-    REGIME_NO_ENTRY,
-    EquilibriumSolution,
-    benefit_slope,
-    expected_benefit,
-)
+from .equilibrium import REGIME_NO_ENTRY, EquilibriumSolution, expected_benefit
 from .errors import DomainError
 from .mechanism import MAX_AGENTS
 from .quadrature import integrate
@@ -105,8 +102,9 @@ def expected_max_quality(sol: EquilibriumSolution, *, method: str = "grid") -> f
     The best of the n independent (enter, draw quality) plays exceeds q
     unless every rival stays below, so the survival function is
     1 - (1 - x(q))**n and the expectation is its integral over the
-    support.  ``method="substitution"`` integrates over pressure
-    instead, q(x) = c^{-1}(benefit(x) - shift), which needs the cost
+    support.  ``method="substitution"`` integrates it by parts in
+    pressure space instead, as the integral of q(x) n (1-x)**(n-1) over
+    [0, p] with q(x) = c^{-1}(benefit(x) - shift), which needs the cost
     inverse but no per-node root finding; the two routes agree to
     quadrature tolerance and serve as mutual checks.
     """
@@ -116,31 +114,34 @@ def expected_max_quality(sol: EquilibriumSolution, *, method: str = "grid") -> f
 
 def expected_avg_quality(sol: EquilibriumSolution, *, method: str = "grid") -> float:
     """Expected quality of one agent (0 when it stays out): the integral
-    of the pressure x(q) over the support.  Total quality is n times this."""
+    of the pressure x(q) over the support, or by parts of q(x) over
+    [0, p].  Total quality is n times this."""
     values, _ = _quality_integral(sol, ("avg",), method)
     return float(values[0])
+
+
+def _by_parts(g, x, n):
+    """Rows g n (1-x)**(n-1), then rows g: over [0, p] the by-parts
+    integrands of E[max] and E[avg] for g = q(x), or of their
+    derivatives for g = dq/da_k."""
+    g = np.atleast_2d(g)
+    return np.concatenate((g * (n * (1.0 - x) ** (n - 1)), g))
 
 
 def _quality_integral(sol, which, method):
     """Integrate the rows named in ``which`` ("max", "avg") in one pass.
 
     Returns per-row arrays (values, error estimates).  Every node's
-    pressure, or on the substitution route its q(x) and weight, is
-    computed once and feeds all rows.
+    pressure, or on the pressure-space route its q(x), is computed once
+    and feeds all rows.
     """
+    if method not in ("grid", "substitution"):
+        raise DomainError(f"unknown method {method!r}")
     zeros = np.zeros(len(which))
     if sol.regime == REGIME_NO_ENTRY:
         return zeros, zeros
     n = sol.n
-
-    def rows(x, weight=None):
-        out = np.empty((len(which), np.size(x)))
-        for row, name in zip(out, which):
-            row[...] = 1.0 - (1.0 - x) ** n if name == "max" else x
-            if weight is not None:
-                row *= weight
-        return out
-
+    pick = [("max", "avg").index(name) for name in which]
     if method == "grid" and _support_endpoint_singular(sol):
         # ties at the relevant end of the prize vector give x(q) an
         # infinite derivative at a support endpoint, which stalls
@@ -148,19 +149,16 @@ def _quality_integral(sol, which, method):
         method = "substitution"
     if method == "grid":
         def f(q):
-            return rows(sol.pressure(q))
+            x = sol.pressure(q)
+            return np.stack((1.0 - (1.0 - x) ** n, x))[pick]
 
         hi = sol.qbar
-    elif method == "substitution":
-        # q as a function of pressure, then integrate dq = q'(x) dx:
-        # q'(x) = benefit'(x) / c'(q(x)) and both integrands are smooth.
+    else:
         def f(x):
             q = sol.cost.inverse(expected_benefit(x, sol.rewards) - sol.shift)
-            return rows(x, -benefit_slope(x, sol.rewards) / sol.cost.derivative(q))
+            return _by_parts(q, x, n)[pick]
 
         hi = sol.p
-    else:
-        raise DomainError(f"unknown method {method!r}")
     if hi <= 0.0:
         return zeros, zeros
     return integrate(f, 0.0, hi)

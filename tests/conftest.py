@@ -189,6 +189,27 @@ def bisect_benefit(targets, rewards, hi):
     return 0.5 * (lo + high)
 
 
+# Oracle for the pressure-space quality integrals: the integrand of
+# the substitution route before it was integrated by parts.
+
+
+def substitution_quality(sol):
+    """(E[max], E[avg]) as the integrals over [0, p] of the survival
+    functions 1 - (1-x)**n and x times dq/dx = -benefit'(x) / c'(q(x)),
+    with q(x) = c^{-1}(benefit(x) - shift), by the library's rule."""
+    if sol.regime == REGIME_NO_ENTRY:
+        return 0.0, 0.0
+    n = sol.n
+
+    def f(x):
+        q = sol.cost.inverse(equilibrium.expected_benefit(x, sol.rewards) - sol.shift)
+        weight = -equilibrium.benefit_slope(x, sol.rewards) / sol.cost.derivative(q)
+        return np.stack((1.0 - (1.0 - x) ** n, x)) * weight
+
+    values, _ = quadrature.integrate(f, 0.0, sol.p)
+    return float(values[0]), float(values[1])
+
+
 # Oracle for the quadrature: panel doubling with one integrand call per
 # level, the route before the first two levels shared one call.
 

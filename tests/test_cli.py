@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import shlex
 from importlib import resources
 from pathlib import Path
@@ -521,6 +522,13 @@ class TestCommandOutputs:
         assert code == 0
         jsonschema.validate(record, schema)
         assert record["output"]["failures"] == 0
+
+    def test_verify_checks_quality_identities(self, capsys):
+        _, record = run_cli(capsys, "verify", "--suite", "identities")
+        names = [check["name"] for check in record["output"]["checks"]]
+        for label in ("rent dissipation", "linear E[avg] closed form, tied top"):
+            (name,) = [name for name in names if label in name]
+            assert re.search(r"\(worst \d\.\d\de-\d\d\)$", name), name
 
 
 class TestDeterminism:

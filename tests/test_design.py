@@ -523,6 +523,24 @@ class TestTaxSweep:
         entries = [row.p for row in rows]
         assert np.all(np.diff(entries) < 0)
 
+    def test_untaxed_contest_solved_once(self, monkeypatch):
+        # one solve of the base, then a floor solve and a taxed solve
+        # per taxed row; the tax-0 row reuses the base
+        solved = []
+
+        def counting(rewards, cost):
+            solved.append(rewards.prizes)
+            return solve(rewards, cost)
+
+        monkeypatch.setattr(design, "solve", counting)
+        taxes = [0.0, 0.01, 0.02, 0.04]
+        rows = tax_sweep(3, 1.0, COST, taxes)
+        assert len(solved) == 7
+        assert solved.count((1.0, 0.0, 0.0)) == 1
+        monkeypatch.undo()
+        for row, tax in zip(rows, taxes):
+            assert row.top_prize == taxed_wta(3, 1.0, tax, COST).top
+
     def test_infeasible_rows_flagged_not_fatal(self):
         rows = tax_sweep(3, 0.2, COST, [0.0, 0.01])
         assert rows[0].ok
