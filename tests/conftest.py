@@ -111,6 +111,32 @@ def random_instance(rng, n_max=10):
     return random_rewards(rng, n, cost), cost
 
 
+def kind_instance(rng, n, kind, cost=None):
+    """A conftest instance of the given kind: as drawn (mostly interior),
+    full entry, an exact tie at the top prize, full entry with an exact
+    tie at the last two prizes (both ties take the pressure-space
+    route), top prizes tied to within 1e-9 to 1e-3 of their step
+    ("near_tie"), or prizes below the entry cost (no entry).  The cost
+    is drawn unless given."""
+    cost = random_cost(rng) if cost is None else cost
+    if kind == "drawn":
+        return random_rewards(rng, n, cost), cost
+    rewards = random_rewards(rng, max(n, 3) if "tie" in kind else n, cost)
+    if kind == "full":
+        return RewardVector(tuple(rewards.as_array() + cost.entry_cost)), cost
+    if kind == "tie":
+        return rewards.replace(2, rewards.top), cost
+    if kind == "last_tie":
+        a = rewards.as_array() + cost.entry_cost
+        a[-2] = a[-1]
+        return RewardVector(tuple(a)), cost
+    if kind == "near_tie":
+        gap = 10.0 ** rng.uniform(-9.0, -3.0) * (rewards.top - rewards.prizes[1])
+        return rewards.replace(2, rewards.top - gap), cost
+    scale = 0.9 * cost.entry_cost / rewards.top
+    return RewardVector(tuple(rewards.as_array() * scale)), cost
+
+
 # Oracles: the matrix route the Bernstein kernel and the one-point
 # tail vector replaced, kept as the reference the library must agree with.
 

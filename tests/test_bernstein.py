@@ -21,6 +21,7 @@ from rankcontest.equilibrium import _invert_benefit
 from conftest import (
     GOLDEN_COST,
     bisect_benefit,
+    kind_instance,
     matrix_benefit,
     matrix_slope,
     matrix_tails,
@@ -207,6 +208,27 @@ def test_equilibrium_matches_bisection_oracle(seed):
     levels = matrix_benefit(sol.p * (1.0 - u), rewards) - sol.shift
     oracle_q = np.clip(cost.inverse(levels), 0.0, sol.qbar)
     assert np.max(np.abs(sol.quantile(u) - oracle_q)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=SEEDS,
+    kind=st.sampled_from(("drawn", "full", "tie", "last_tie", "near_tie")),
+    n=st.integers(2, 1000),
+)
+def test_pressure_within_rounding_of_bisection(seed, kind, n):
+    # every pressure lies within the rounding noise of the benefit over
+    # its slope of the bisection oracle, the bound of test_exact_top_ties
+    # at 1e-12: no stopping rule may end a target short of that
+    rng = np.random.default_rng(seed)
+    rewards, cost = kind_instance(rng, n, kind)
+    sol = solve(rewards, cost)
+    q = np.concatenate((np.linspace(0.0, sol.qbar, 33), rng.uniform(0.0, sol.qbar, 31)))
+    targets = np.asarray(cost.value(q)) + sol.shift
+    oracle = bisect_benefit(targets, rewards, sol.p)
+    with np.errstate(divide="ignore"):
+        conditioning = 4.0 * inversion_noise(rewards) / np.abs(matrix_slope(oracle, rewards))
+    assert np.all(np.abs(sol.pressure(q) - oracle) <= 1e-12 + conditioning)
 
 
 @settings(max_examples=40, deadline=None)

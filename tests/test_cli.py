@@ -241,13 +241,13 @@ class TestSolve:
         argv = ["solve", "--rewards", "1,0.6,0.25,0", "--cost", "linear:c0=0.25,slope=1"]
         code, _ = run_cli(capsys, *argv, "--csv", str(path))
         assert code == 0
-        assert kernel_work.calls == 12
+        assert kernel_work.calls == 10
         kernel_work.reset()
         sol = solve(RewardVector((1.0, 0.6, 0.25, 0.0)), GOLDEN_COST)
         grid = np.linspace(0.0, sol.qbar, 129)
         sol.pressure(grid)
         sol.payoff_residual(grid)
-        assert kernel_work.calls == 12
+        assert kernel_work.calls == 10
         table = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(table[:, 0], grid)
         assert np.array_equal(table[:, 1], sol.cdf(grid))

@@ -32,11 +32,10 @@ from rankcontest.mechanism import MAX_AGENTS
 from rankcontest.quadrature import integrate
 from conftest import (
     GOLDEN_COST,
+    kind_instance,
     levelwise_integrate,
     pmf_matrix,
-    random_cost,
     random_instance,
-    random_rewards,
     rank_mass_at,
     substitution_quality,
 )
@@ -321,28 +320,6 @@ class TestContestMetrics:
 KINDS = ("drawn", "full", "tie", "last_tie", "no_entry")
 
 
-def _kind_instance(rng, n, kind, cost=None):
-    """A conftest instance of the given kind: as drawn (mostly interior),
-    full entry, an exact tie at the top prize, full entry with an exact
-    tie at the last two prizes (both ties take the pressure-space
-    route), or prizes below the entry cost (no entry).  The cost is
-    drawn unless given."""
-    cost = random_cost(rng) if cost is None else cost
-    if kind == "drawn":
-        return random_rewards(rng, n, cost), cost
-    rewards = random_rewards(rng, max(n, 3) if "tie" in kind else n, cost)
-    if kind == "full":
-        return RewardVector(tuple(rewards.as_array() + cost.entry_cost)), cost
-    if kind == "tie":
-        return rewards.replace(2, rewards.top), cost
-    if kind == "last_tie":
-        a = rewards.as_array() + cost.entry_cost
-        a[-2] = a[-1]
-        return RewardVector(tuple(a)), cost
-    scale = 0.9 * cost.entry_cost / rewards.top
-    return RewardVector(tuple(rewards.as_array() * scale)), cost
-
-
 def _single_row(sol, name):
     """One quality integral alone: its value and error estimate, or the
     QuadratureError it raises."""
@@ -384,7 +361,7 @@ class TestPressureRoute:
         rng = np.random.default_rng(61)
         worst = 0.0
         for i in range(100):
-            sol = solve(*_kind_instance(rng, int(rng.integers(2, 41)), KINDS[i % 5]))
+            sol = solve(*kind_instance(rng, int(rng.integers(2, 41)), KINDS[i % 5]))
             got = (
                 expected_max_quality(sol, method="substitution"),
                 expected_avg_quality(sol, method="substitution"),
@@ -400,7 +377,7 @@ class TestPressureRoute:
         regimes, stalled = set(), 0
         for i in range(150):
             cost = LinearCost(c0=rng.uniform(0.05, 0.6), slope=rng.uniform(0.5, 2.0))
-            sol = solve(*_kind_instance(rng, int(rng.integers(2, 41)), KINDS[i % 5], cost))
+            sol = solve(*kind_instance(rng, int(rng.integers(2, 41)), KINDS[i % 5], cost))
             closed = _linear_closed_forms(sol)
             pressure_route = (
                 expected_max_quality(sol, method="substitution"),
@@ -436,7 +413,7 @@ class TestPressureRoute:
 
         rng = np.random.default_rng(5)
         for i in range(12):
-            sol = solve(*_kind_instance(rng, int(rng.integers(3, 61)), ("tie", "last_tie")[i % 2]))
+            sol = solve(*kind_instance(rng, int(rng.integers(3, 61)), ("tie", "last_tie")[i % 2]))
             levels, sizes = [], []
             monkeypatch.setattr(metrics, "integrate", counted(levelwise_integrate, levels))
             contest_metrics(sol)
@@ -465,7 +442,7 @@ class TestSharedEvaluation:
         kind=st.sampled_from(["drawn", "full", "tie", "no_entry"]),
     )
     def test_bundle_equals_single_functions(self, seed, n, kind):
-        rewards, cost = _kind_instance(np.random.default_rng(seed), n, kind)
+        rewards, cost = kind_instance(np.random.default_rng(seed), n, kind)
         sol = solve(rewards, cost)
         if kind == "full":
             assert sol.regime == "full"
