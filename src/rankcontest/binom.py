@@ -16,30 +16,43 @@ the upward walk with the masses reversed, so every walk runs upward.
 
 Two consumers share the recurrence, and neither stores a mass matrix
 over all points.  :func:`bernstein` sums c_i * t_i in walk order, one
-block of at most ``_BLOCK`` points at a time, in one of two loop orders
-that do the same products and the same left-to-right sums and so agree
-to the bit.  A block of more than ``_WALK`` points loops over the
-degrees in Python, each step one vector operation across the block, and
-holds a few vectors of the block's length per row.  It sums the plain
-rows only if some point of the block lies at or below 1/2 and the
-reversed rows only if some point lies above it, so a block on one side
-of 1/2 pays for one orientation.  A smaller block,
-where that loop's per-step overhead would dominate, walks the degree
-axis inside numpy instead: every factor of every point in one array,
-one cumulative product for the masses, one cumulative sum per row.
-That holds 3m+2 floats per point, about 3 MB at m = 999 and ``_WALK``
-points.  At degree 2 or less the loop has only a step or two, fewer
-calls than the walk, and takes every block.  :func:`tail_vector` needs
-every mass at one point, for the budget and the rank odds, and takes
-them from the walk's cumulative product, so its tails are the
-kernel's masses summed from the right, to the bit.
+block of at most ``_BLOCK`` rows times points at a time, in one of two
+loop orders that do the same products and the same left-to-right sums
+and so agree to the bit.  A block of more than ``_WALK`` points loops
+over the degrees in Python, each step one vector operation across the
+block, and holds a few vectors of the block's length per row.  The
+loop sums the plain rows for points at or below 1/2 and the reversed
+rows for points above it, so a block that holds both sides pays for
+both orientations at every point.  A set of more than ``_SPLIT`` rows
+times points and ``_SPLIT_WORK`` rows times points times degree is
+therefore summed one side at a time, and each of its points in one
+orientation: as two runs of consecutive points where its sides are
+runs (sorted points, a set on one side), else each side gathered by
+index and its sums scattered back.  A smaller set keeps its sides
+together, blocked in input order; there the second loop and the
+gather and scatter would cost more than the orientation they save.  A
+block of at most ``_WALK`` points, where the loop's per-step overhead
+would dominate, walks the degree axis inside numpy instead: every
+factor of every point in one array, one cumulative product for the
+masses, one cumulative sum per row, each point with its own
+orientation of the rows.  That holds 3m+2 floats per point, about 3 MB
+at m = 999 and ``_WALK`` points.  At degree 2 or less the loop has
+only a step or two, fewer calls than the walk, and takes every block.
+:func:`tail_vector` needs every mass at one point, for the budget and
+the rank odds, and takes them from the walk's cumulative product, so
+its tails are the kernel's masses summed from the right, to the bit.
 """
 
 import numpy as np
 
-# points per pass of bernstein: its working set (a few vectors of this
-# length per row) stays in cache and its memory stays bounded
-_BLOCK = 4096
+# rows times points per pass of bernstein: its working set (a few
+# vectors of the block's length per row) stays in cache and its memory
+# stays bounded.  One row at m = 99 on 50,000 random points took 11.0,
+# 8.3, 7.2 and 7.3 ms in blocks of 4096, 8192, 16384 and 32768 points;
+# two rows at degree 1 to 3 took up to twice as long in blocks of 16384
+# points as in blocks of 4096, so the block is counted in rows times
+# points
+_BLOCK = 16384
 # blocks of at most this many points walk the degree axis inside numpy;
 # past it the walk's sequential accumulates cost more per point than the
 # loop's per-step Python overhead saves
@@ -47,6 +60,16 @@ _WALK = 128
 # blocks of at most this degree take the loop whatever their size: its
 # one or two steps cost less than the walk's dozen numpy calls
 _LOOP_DEGREE = 2
+# a set of more than _SPLIT rows times points and more than _SPLIT_WORK
+# rows times points times degree is summed one side at a time.  Below
+# either, the second loop's per-step calls and the gather and scatter
+# cost more than the orientation they save: measured on interleaved
+# points, one row on 300 to 2,000 points took 1.2 to 1.7 times as long
+# cut as whole at m = 20 to 199, and two or three rows on 1,536 points
+# took 1.1 to 1.7 times as long at m = 1 to 6 but 0.6 to 0.9 times at
+# m = 8 to 199
+_SPLIT = 2048
+_SPLIT_WORK = 20_000
 
 
 def tail_vector(m: int, x: float) -> np.ndarray:
@@ -66,26 +89,64 @@ def bernstein(coeffs, x) -> np.ndarray:
     ``x`` is a scalar or 1-d array of values in [0, 1].  The result has
     shape (len(x),) or (k, len(x)).  The masses are walked once per
     block of points, from the heavier endpoint of each point, so besides
-    the result it holds only O(k * _BLOCK + m * _WALK) floats.  A point
-    gets the same bits whatever block it shares.  A unit row e_i gives
-    the single mass C(m, i) * x**i * (1-x)**(m-i).
+    the result it holds O(_BLOCK + m * _WALK) floats, and one index per
+    point of a set whose sides interleave.  A point gets the same bits
+    whatever block it shares.  A unit row e_i gives the single mass
+    C(m, i) * x**i * (1-x)**(m-i).
     """
     c = np.asarray(coeffs, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     rows = c.reshape(-1, c.shape[-1])
-    m = rows.shape[1] - 1
-    out = np.empty((rows.shape[0], x.size))
-    for start in range(0, x.size, _BLOCK):
-        block = x[start : start + _BLOCK]
-        # a point above 1/2 walks upward in y = 1 - x with the
-        # coefficients reversed, so both halves share one recurrence
-        far = block > 0.5
-        y = np.where(far, 1.0 - block, block)
-        ratio = y / (1.0 - y)
-        walk = block.size <= _WALK and m > _LOOP_DEGREE
-        order = _walk_degrees if walk else _loop_degrees
-        order(rows, far, y, ratio, out[:, start : start + _BLOCK])
+    k, m = rows.shape[0], rows.shape[1] - 1
+    out = np.empty((k, x.size))
+    # a point above 1/2 walks upward in y = 1 - x with the coefficients
+    # reversed, so both halves share one recurrence
+    far = x > 0.5
+    if k * x.size <= _SPLIT:
+        # one block (_SPLIT < _BLOCK), its sides kept together
+        _sum_block(rows, x, far, out)
+        return out.reshape(c.shape[:-1] + x.shape)
+    width = max(1, _BLOCK // k)
+    if k * x.size * m <= _SPLIT_WORK:
+        cut = 0  # blocks in input order, each with the sides it holds
+    else:
+        # one side at a time, so that every block holds one side and
+        # its loop sums one orientation of the rows
+        count = int(np.count_nonzero(far))
+        if far[:count].all():
+            cut = count  # the far side first, or one side only
+        elif far[x.size - count :].all():
+            cut = x.size - count  # the near side first
+        else:
+            _sum_gathered(rows, x, far, width, out)
+            return out.reshape(c.shape[:-1] + x.shape)
+    for lo, hi in ((0, cut), (cut, x.size)):
+        for start in range(lo, hi, width):
+            part = slice(start, min(start + width, hi))
+            _sum_block(rows, x[part], far[part], out[:, part])
     return out.reshape(c.shape[:-1] + x.shape)
+
+
+def _sum_gathered(rows, x, far, width, out):
+    """Write the sums of a set whose sides interleave: each side
+    gathered by index, summed in blocks and scattered back."""
+    for at in (np.flatnonzero(~far), np.flatnonzero(far)):
+        for start in range(0, at.size, width):
+            part = at[start : start + width]
+            sums = np.empty((rows.shape[0], part.size))
+            _sum_block(rows, x[part], far[part], sums)
+            # row by row: numpy scatters a 1-d row faster than a 2-d block
+            for row, values in zip(out, sums):
+                row[part] = values
+
+
+def _sum_block(rows, block, far, sums):
+    """Write the sums at one block of points, walked or looped."""
+    y = np.where(far, 1.0 - block, block)
+    ratio = y / (1.0 - y)
+    walk = block.size <= _WALK and rows.shape[1] - 1 > _LOOP_DEGREE
+    order = _walk_degrees if walk else _loop_degrees
+    order(rows, far, y, ratio, sums)
 
 
 def _loop_degrees(rows, far, y, ratio, sums):

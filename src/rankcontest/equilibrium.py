@@ -323,7 +323,8 @@ class EquilibriumSolution:
         """
         self._require_entry()
         arr, scalar = _in_range(u, 1, "quantile level")
-        targets = expected_benefit(self.p * (1.0 - arr), self.rewards) - self.shift
+        # p (1 - u) already lies in [0, p]: no second range check
+        targets = bernstein(self.rewards.as_array(), self.p * (1.0 - arr)) - self.shift
         q = np.asarray(self.cost.inverse(targets), dtype=float)
         q = np.clip(q, 0.0, self.qbar)
         return float(q[0]) if scalar else q

@@ -37,9 +37,9 @@ _DEV_ENTRY, _DEV_QUALITY, _DEV_TIE, _DEV_SELF = 11, 12, 13, 14
 
 # Largest trials * n one call of run or deviation_check accepts.  Both
 # hold every draw at once: measured with tracemalloc at 2,000,000
-# agent-trials, they peak at about 31 bytes per agent-trial when some
-# agents stay out and 41 when all enter, so the cap keeps a call near
-# 0.8 GB; larger requests are refused before any stream is drawn.
+# agent-trials, they peak at about 32 bytes per agent-trial when some
+# agents stay out and 43 when all enter, so the cap keeps a call near
+# 0.85 GB; larger requests are refused before any stream is drawn.
 MAX_AGENT_TRIALS = 20_000_000
 
 

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankcontest import LinearCost, RewardVector, benefit_slope, expected_benefit, solve
+from rankcontest import LinearCost, RewardVector, benefit_slope, binom, expected_benefit, solve
 from rankcontest.binom import (
     _BLOCK,
+    _SPLIT,
     _WALK,
     _loop_degrees,
     _walk_degrees,
@@ -136,6 +137,41 @@ def test_walk_and_loop_orders_agree_to_the_bit(m):
             _loop_degrees(rows, far, y, ratio, looped)
             assert np.array_equal(walked, looped)
             assert np.array_equal(walked, bernstein(rows, x))
+
+
+@pytest.mark.parametrize("order", ["drawn", "ascending", "descending"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_straddling_set_sums_each_point_in_one_orientation(monkeypatch, k, order):
+    # rows x points x m summed by the two orders: the loop sums one
+    # orientation of the rows for each side of 1/2 its block holds, the
+    # walk one per point.  Every point of a large set on both sides of
+    # 1/2, its sides interleaved or in two runs, must be summed in one
+    # orientation, and get the bits a small set with both sides gives it.
+    work = []
+
+    def counted(kernel, orientations):
+        def run(rows, far, y, ratio, sums):
+            work.append(rows.shape[0] * orientations(far) * y.size * (rows.shape[1] - 1))
+            kernel(rows, far, y, ratio, sums)
+
+        return run
+
+    monkeypatch.setattr(
+        binom, "_loop_degrees",
+        counted(binom._loop_degrees, lambda far: int(far.any()) + int(not far.all())),
+    )
+    monkeypatch.setattr(binom, "_walk_degrees", counted(binom._walk_degrees, lambda far: 1))
+    rng = np.random.default_rng(k)
+    m = 99
+    x = np.concatenate((EDGE_POINTS, rng.random(2 * _BLOCK - EDGE_POINTS.size)))
+    x = {"drawn": x, "ascending": np.sort(x), "descending": np.sort(x)[::-1]}[order]
+    rows = rng.normal(size=(k, m + 1))
+    got = bernstein(rows, x)
+    assert sum(work) == k * x.size * m
+    monkeypatch.undo()
+    small = _SPLIT // k
+    pieces = [bernstein(rows, x[i : i + small]) for i in range(0, x.size, small)]
+    assert np.array_equal(got, np.concatenate(pieces, axis=1))
 
 
 def test_bernstein_memory_is_bounded_per_block():
