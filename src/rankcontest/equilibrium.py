@@ -40,12 +40,16 @@ decreasing, each inversion keeps a bracket and runs a safeguarded
 Newton iteration that falls back to bisection, so convergence is
 guaranteed: the entry probability's one target through the library's
 scalar :func:`rootfind.bracketed_root` from the midpoint of [0, 1], and
-the pressure's targets together from a table.  The solver carries no
-state beyond the scalars above, and solutions are immutable and safe to
-share across threads.
+the pressure's targets together from a table.  That table depends on
+the contest alone; a solution builds it lazily, on its first pressure
+query, and keeps it for every later one.  Beyond the scalars above and
+that table, the solver carries no state.  Solutions are immutable and
+safe to share across threads: two threads that race on the first query
+may each build the table, with the same bits, and queries only read it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,48 +102,6 @@ def benefit_slope(x, rewards: RewardVector):
     return float(out[0]) if scalar else out
 
 
-def _start(t, nodes, table, slope=None):
-    """Start and bracket (x, lo, up) of each target strictly inside the
-    table's range, on the table cell that brackets it: the linear
-    interpolate, or with ``slope`` (benefit' at the nodes) the cubic
-    Hermite interpolate of the inverse x(f) with end slopes 1 / benefit'
-    where that is finite and inside the open cell (a zero slope at a
-    tie is not)."""
-    cell = np.searchsorted(-table, -t)
-    up, below = nodes[cell], table[cell]
-    cell -= 1
-    lo = nodes[cell]
-    # the linear start: the target's share s in (0, 1] of its cell's
-    # drop in benefit
-    s = table[cell] - t
-    drop = table[cell] - below
-    del below
-    width = up - lo
-    x = width * s
-    x /= drop
-    x += lo
-    if slope is None:
-        return x, lo, up
-    s /= drop
-    del drop
-    # per cell, the inverse's end slopes over its chord's, less 1: the
-    # cubic is the chord plus s (1 - s) ((1 - s) bend0 - s bend1)
-    chord = (table[:-1] - table[1:]) / (nodes[1:] - nodes[:-1])
-    bend0 = chord / -slope[:-1] - 1.0
-    bend1 = chord / -slope[1:] - 1.0
-    r = 1.0 - s
-    bend = bend0[cell] * r
-    bend -= bend1[cell] * s
-    del cell
-    bend *= r
-    bend *= s
-    del r, s
-    bend *= width
-    bend += x
-    np.copyto(x, bend, where=(bend > lo) & (bend < up))
-    return x, lo, up
-
-
 def _last_step(a: np.ndarray) -> tuple[np.ndarray, float]:
     """The rows (a[:-1], a[1:]) of the last de Casteljau step, and the
     rounding noise of a benefit sum.
@@ -171,10 +133,11 @@ def _entry_probability(rewards: RewardVector, c0: float) -> float:
 # its slope at _WALK nodes (the kernel's walk block, past which the
 # table would leave the walk): a node costs the kernel work of one
 # target's Newton pass.  The table depends on the contest alone, so a
-# point's pressure does not depend on the points queried with it; a
-# query of a few points pays for the whole table.  Bisection alone
-# would get from one cell of that table to the stopping width in about
-# 43 steps, well inside _MAX_ITER.
+# point's pressure does not depend on the points queried with it.  A
+# solution builds it once, on its first pressure query, and every later
+# query, of one point or of many, pays only for its Newton passes.
+# Bisection alone would get from one cell of that table to the stopping
+# width in about 43 steps, well inside _MAX_ITER.
 #
 # A Newton step d from x lands within bend d**2 / |benefit'(x)| of the
 # root, where bend bounds |benefit''| / 2 on [0, 1]: with m = n - 1,
@@ -190,91 +153,159 @@ def _entry_probability(rewards: RewardVector, c0: float) -> float:
 # their first pass at high degree.
 
 
-def _invert_benefit(targets: np.ndarray, rewards: RewardVector, hi: float) -> np.ndarray:
-    """Solve expected_benefit(x) = target on [0, hi] for each target.
+class _BenefitTable:
+    """Inverts expected_benefit(x) = target on [0, hi] for one contest.
 
-    Targets outside the attainable range clamp to the nearer endpoint.
-    Each other target starts in the cell of a table that brackets it.
-    The table holds the benefit and its slope at _WALK equally spaced
-    nodes, from the same two sums as each Newton step, and the start is
-    the cubic Hermite interpolate of the inverse on the cell (see
-    :func:`_start`); prizes that fall by equal steps make the benefit
-    linear, and the linear interpolate between its two ends is then
-    every target's exact start.  The target then runs a safeguarded
-    Newton iteration inside its own bracket [lo, up] with
-    benefit(lo) > target > benefit(up): a step that would leave the
-    bracket is replaced by bisection.  A point stops once its step or
-    its bracket is a few ulps of [0, hi] wide, once its residual is
-    down to rounding noise and one last short Newton step refines it,
-    or once it takes a step inside its bracket that the curvature bound
-    m (m-1) max|d2 a| / 2 >= |benefit''| / 2 puts within half that
-    width of the root; the iteration cap bounds the work either way.
+    Building it runs the one kernel pass that depends on the contest
+    alone: the benefit and its slope at _WALK equally spaced nodes, from
+    the same two sums of the last de Casteljau step as each Newton step,
+    and per cell the end slopes of the inverse's cubic Hermite
+    interpolate.  Prizes that fall by equal steps make the benefit
+    linear, and the table is then its two ends, whose chord is every
+    target's exact start.  :meth:`invert` only reads what the build
+    stored, so one table serves any number of queries, from any number
+    of threads.
     """
-    a = rewards.as_array()
-    m = rewards.n - 1
-    pairs, noise = _last_step(a)
-    # from a point this close, Newton's quadratic error is of order eps
-    settle = np.sqrt(_EPS) * hi
-    tol = _STOP_ULPS * _EPS * hi
-    # |benefit''| / 2 <= bend on all of [0, 1]
-    bend = 0.5 * m * (m - 1) * float(np.max(np.abs(np.diff(a, 2)))) if m > 1 else 0.0
 
-    def newton_step(t, x, lo, up):
-        # updates x, lo and up in place and returns the converged mask;
-        # the temporaries die on return, before the next kernel pass
-        sums = bernstein(pairs, x)
+    __slots__ = ("pairs", "noise", "m", "hi", "settle", "tol", "bend",
+                 "nodes", "table", "bend0", "bend1")
+
+    def __init__(self, rewards: RewardVector, hi: float):
+        a = rewards.as_array()
+        m = rewards.n - 1
+        self.pairs, self.noise = _last_step(a)
+        self.m, self.hi = m, hi
+        # from a point this close, Newton's quadratic error is of order eps
+        self.settle = np.sqrt(_EPS) * hi
+        self.tol = _STOP_ULPS * _EPS * hi
+        # |benefit''| / 2 <= bend on all of [0, 1]
+        self.bend = 0.5 * m * (m - 1) * float(np.max(np.abs(np.diff(a, 2)))) if m > 1 else 0.0
+        # a zero slope (a flat benefit) makes an infinite or undefined
+        # end slope, which _start then turns into the linear start
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # prize steps equal to within the noise leave the benefit
+            # linear to it, and the chord between its ends is then the
+            # exact start
+            curved = np.ptp(np.diff(a)) > self.noise
+            nodes = np.linspace(0.0, hi, _WALK if curved else 2)
+            s0, s1 = bernstein(self.pairs, nodes)
+            s1 -= s0
+            values = nodes * s1 + s0
+            # the running minimum keeps the table sorted where rounding
+            # makes a flat stretch wiggle, so every cell found below
+            # brackets its target
+            table = np.minimum.accumulate(values)
+            self.nodes, self.table = nodes, table
+            self.bend0 = self.bend1 = None
+            if curved:
+                # per cell, the inverse's end slopes over its chord's,
+                # less 1: the cubic is the chord plus
+                # s (1 - s) ((1 - s) bend0 - s bend1)
+                slope = m * s1
+                chord = (table[:-1] - table[1:]) / (nodes[1:] - nodes[:-1])
+                self.bend0 = chord / -slope[:-1] - 1.0
+                self.bend1 = chord / -slope[1:] - 1.0
+
+    def _start(self, t):
+        """Start and bracket (x, lo, up) of each target strictly inside the
+        table's range, on the table cell that brackets it: the linear
+        interpolate, or on a curved benefit the cubic Hermite
+        interpolate of the inverse x(f) with end slopes 1 / benefit'
+        where that is finite and inside the open cell (a zero slope at
+        a tie is not)."""
+        nodes, table = self.nodes, self.table
+        cell = np.searchsorted(-table, -t)
+        up, below = nodes[cell], table[cell]
+        cell -= 1
+        lo = nodes[cell]
+        # the linear start: the target's share s in (0, 1] of its cell's
+        # drop in benefit
+        s = table[cell] - t
+        drop = table[cell] - below
+        del below
+        width = up - lo
+        x = width * s
+        x /= drop
+        x += lo
+        if self.bend0 is None:
+            return x, lo, up
+        s /= drop
+        del drop
+        r = 1.0 - s
+        bend = self.bend0[cell] * r
+        bend -= self.bend1[cell] * s
+        del cell
+        bend *= r
+        bend *= s
+        del r, s
+        bend *= width
+        bend += x
+        np.copyto(x, bend, where=(bend > lo) & (bend < up))
+        return x, lo, up
+
+    def _newton_step(self, t, x, lo, up):
+        """One safeguarded Newton pass; updates x, lo and up in place and
+        returns the converged mask.  The temporaries die on return,
+        before the next kernel pass."""
+        sums = bernstein(self.pairs, x)
         slope = sums[1] - sums[0]
         f = x * slope
         f += sums[0]
         f -= t
         np.copyto(lo, x, where=f > 0.0)
         np.copyto(up, x, where=f < 0.0)
-        slope *= m
+        slope *= self.m
         step = f / slope
         guess = x - step
         inside = (guess > lo) & (guess < up)
         # a residual at the noise floor ends the iteration unless a flat
         # benefit (a tie at the top prize) still makes the step long
-        settled = (np.abs(f) <= noise) & (np.abs(step) <= settle)
+        settled = (np.abs(f) <= self.noise) & (np.abs(step) <= self.settle)
         # so does a step inside the bracket that lands within tol / 2 of
         # the root by the curvature bound
-        settled |= inside & (bend * np.square(step) <= 0.5 * tol * np.abs(slope))
+        tol = self.tol
+        settled |= inside & (self.bend * np.square(step) <= 0.5 * tol * np.abs(slope))
         moved = np.where(inside, guess, 0.5 * (lo + up))
         done = settled | (np.abs(moved - x) <= tol) | (up - lo <= tol)
         np.copyto(x, moved, where=inside | ~settled)
         return done
 
-    # a zero slope (a flat benefit) makes an infinite or undefined bend
-    # or step, which _start and newton_step then turn into the linear
-    # start or bisection
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # prize steps equal to within the noise leave the benefit linear
-        # to it, and the chord between its ends is then the exact start
-        curved = np.ptp(np.diff(a)) > noise
-        nodes = np.linspace(0.0, hi, _WALK if curved else 2)
-        s0, s1 = bernstein(pairs, nodes)
-        s1 -= s0
-        values, slope = nodes * s1 + s0, m * s1 if curved else None
-        # the running minimum keeps the table sorted where rounding makes
-        # a flat stretch wiggle, so every cell found below brackets its
-        # target
-        table = np.minimum.accumulate(values)
+    def invert(self, targets: np.ndarray) -> np.ndarray:
+        """Solve expected_benefit(x) = target on [0, hi] for each target.
+
+        Targets outside the attainable range clamp to the nearer
+        endpoint.  Each other target starts in the table cell that
+        brackets it (see :meth:`_start`), then runs a safeguarded Newton
+        iteration inside its own bracket [lo, up] with benefit(lo) >
+        target > benefit(up): a step that would leave the bracket is
+        replaced by bisection.  A point stops once its step or its
+        bracket is a few ulps of [0, hi] wide, once its residual is down
+        to rounding noise and one last short Newton step refines it, or
+        once it takes a step inside its bracket that the curvature bound
+        m (m-1) max|d2 a| / 2 >= |benefit''| / 2 puts within half that
+        width of the root; the iteration cap bounds the work either way.
+        """
+        table = self.table
         out = np.empty_like(targets)
         out[targets >= table[0]] = 0.0
-        out[targets <= table[-1]] = hi
+        out[targets <= table[-1]] = self.hi
         idx = np.flatnonzero((targets < table[0]) & (targets > table[-1]))
         t = targets[idx]
-        x, lo, up = _start(t, nodes, table, slope)
-        for _ in range(_MAX_ITER):
-            if idx.size == 0:
-                break
-            done = newton_step(t, x, lo, up)
-            if done.any():
-                out[idx[done]] = x[done]
-                keep = ~done
-                idx, t, x, lo, up = (v[keep] for v in (idx, t, x, lo, up))
-    out[idx] = x
-    return out
+        # a zero slope makes an infinite or undefined start or step,
+        # which _start and _newton_step turn into the linear start or
+        # bisection
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x, lo, up = self._start(t)
+            for _ in range(_MAX_ITER):
+                if idx.size == 0:
+                    break
+                done = self._newton_step(t, x, lo, up)
+                if done.any():
+                    out[idx[done]] = x[done]
+                    keep = ~done
+                    idx, t, x, lo, up = (v[keep] for v in (idx, t, x, lo, up))
+        out[idx] = x
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,6 +327,12 @@ class EquilibriumSolution:
     def n(self) -> int:
         return self.rewards.n
 
+    @cached_property
+    def _table(self) -> _BenefitTable:
+        # built on the first pressure query and kept with the solution;
+        # dataclasses.replace makes a new solution, which builds its own
+        return _BenefitTable(self.rewards, self.p)
+
     def _require_entry(self):
         if self.regime == REGIME_NO_ENTRY:
             raise StateError(
@@ -307,7 +344,7 @@ class EquilibriumSolution:
         self._require_entry()
         arr, scalar = _in_range(q, self.qbar, "quality")
         targets = np.asarray(self.cost.value(arr), dtype=float) + self.shift
-        x = _invert_benefit(targets, self.rewards, self.p)
+        x = self._table.invert(targets)
         return float(x[0]) if scalar else x
 
     def cdf(self, q):
@@ -347,8 +384,9 @@ class EquilibriumSolution:
             if np.any(inside):
                 # the queries are checked and their costs known, so the
                 # targets c(q) + shift go to the inversion directly
-                x = _invert_benefit(costs[inside] + self.shift, self.rewards, self.p)
-                gains = expected_benefit(x, self.rewards)
+                x = self._table.invert(costs[inside] + self.shift)
+                # x already lies in [0, p]: no second range check
+                gains = bernstein(self.rewards.as_array(), x)
                 out[inside] = gains - costs[inside] - self.shift
         return float(out[0]) if scalar else out
 

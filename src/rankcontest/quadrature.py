@@ -15,9 +15,10 @@ others returns exactly what it returns alone.
 
 Every integral computes at least its first two levels, so the integrand
 gets their nodes in one call and pays once for its per-call set-up (the
-pressure table, the Newton passes, one Python step per degree of the
-kernel).  Each later level gets a call of its own, made only when the
-stopping test asks for it.  Each level is still reduced on its own
+Newton passes, one Python step per degree of the kernel); the pressure
+table belongs to the solution, which builds it once for all levels.
+Each later level gets a call of its own, made only when the stopping
+test asks for it.  Each level is still reduced on its own
 block of values, so an integrand whose value at a point does not
 depend on the points evaluated with it gives the same bits as one call
 per level.

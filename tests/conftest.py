@@ -22,7 +22,7 @@ from rankcontest import (
 from rankcontest import equilibrium, quadrature
 from rankcontest.binom import bernstein
 from rankcontest.design import _default_step
-from rankcontest.equilibrium import REGIME_NO_ENTRY
+from rankcontest.equilibrium import REGIME_NO_ENTRY, _BenefitTable
 from rankcontest.montecarlo import (
     _DEV_ENTRY,
     _DEV_QUALITY,
@@ -198,6 +198,12 @@ def rank_mass_at(sol, k, q):
     x = np.atleast_1d(sol.pressure(q))
     out = bernstein(np.eye(1, sol.n, k - 1)[0], x)
     return float(out[0]) if np.ndim(q) == 0 else out
+
+
+def invert_benefit(targets, rewards, hi):
+    """The library's pressure inversion of benefit(x) = target on [0, hi]
+    at any hi: a fresh table for the contest, then its Newton passes."""
+    return _BenefitTable(rewards, hi).invert(np.asarray(targets, dtype=float))
 
 
 def bisect_benefit(targets, rewards, hi):

@@ -18,10 +18,10 @@ from rankcontest.binom import (
     bernstein,
     tail_vector,
 )
-from rankcontest.equilibrium import _invert_benefit
 from conftest import (
     GOLDEN_COST,
     bisect_benefit,
+    invert_benefit,
     kind_instance,
     matrix_benefit,
     matrix_slope,
@@ -177,20 +177,25 @@ def test_straddling_set_sums_each_point_in_one_orientation(monkeypatch, k, order
 def test_bernstein_memory_is_bounded_per_block():
     # m = 999 (MAX_AGENTS ranks) on the solver's two-row pairs, over one
     # block for the loop and one for the walk: peak is the result plus
-    # the larger working set, never a mass matrix of (m+1) * x.size
+    # the larger working set, never a mass matrix of (m+1) * x.size.
+    # Sorted points are summed as two runs split at 1/2, shuffled ones
+    # gathered by side and scattered back, which holds an index per
+    # point more (2.15 MB against 1.89 MB sorted)
     m, k = 999, 2
-    rows = np.random.default_rng(0).random((k, m + 1))
+    rng = np.random.default_rng(0)
+    rows = rng.random((k, m + 1))
     x = np.linspace(0.0, 1.0, _BLOCK + _WALK)
     loop_set = (4 * k + 8) * _BLOCK
     walk_set = (3 * m + 2) * _WALK
     bound = 1.1 * 8 * (k * x.size + max(loop_set, walk_set))
-    tracemalloc.start()
-    try:
-        bernstein(rows, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound
+    for points in (x, rng.permutation(x)):
+        tracemalloc.start()
+        try:
+            bernstein(rows, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,7 +282,7 @@ def test_out_of_range_targets_clamp(seed, hi_is_one):
     spread = top - bottom
     targets = np.array([top, top + 1e-3 * spread, top + spread, bottom - 1e-3 * spread,
                         bottom - spread])
-    got = _invert_benefit(targets, rewards, hi)
+    got = invert_benefit(targets, rewards, hi)
     assert np.array_equal(got, [0.0, 0.0, 0.0, hi, hi])
     # at a target exactly at an end, the oracle's bisection lands where
     # rounding noise in its benefit matches the target, which a nearly
@@ -317,7 +322,7 @@ def test_exact_top_ties(seed, ties, n):
     bottom = float(matrix_benefit(hi, rewards)[0])
     gaps = np.concatenate((np.logspace(-14, -1, 14), rng.uniform(0.0, 1.0, 9)))
     targets = 1.0 - gaps * (1.0 - bottom)
-    got = _invert_benefit(targets, rewards, hi)
+    got = invert_benefit(targets, rewards, hi)
     oracle = bisect_benefit(targets, rewards, hi)
     noise = inversion_noise(rewards)
     with np.errstate(divide="ignore"):
@@ -382,7 +387,7 @@ def test_exact_top_ties_on_both_tables(n, count):
     if count == 1:
         got = np.array([solve(rewards, LinearCost(c0=targets[0], slope=1.0)).p])
     else:
-        got = _invert_benefit(targets, rewards, 1.0)
+        got = invert_benefit(targets, rewards, 1.0)
     oracle = bisect_benefit(targets, rewards, 1.0)
     noise = inversion_noise(rewards)
     with np.errstate(divide="ignore"):

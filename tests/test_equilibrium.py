@@ -1,3 +1,8 @@
+import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -12,9 +17,11 @@ from rankcontest import (
     expected_benefit,
     solve,
 )
+from rankcontest import metrics
+from rankcontest.binom import _WALK
 from rankcontest.costs import CostModel
-from rankcontest.equilibrium import _invert_benefit
-from conftest import GOLDEN_COST, random_cost, random_instance, random_rewards
+from rankcontest.quadrature import integrate
+from conftest import GOLDEN_COST, invert_benefit, random_cost, random_instance, random_rewards
 
 
 class TestBenefit:
@@ -101,7 +108,7 @@ class TestParticipation:
             cost = random_cost(rng)
             rewards = random_rewards(rng, n, cost, full_share=0.0)
             c0 = cost.entry_cost
-            batch = _invert_benefit(np.array([c0]), rewards, 1.0)[0]
+            batch = invert_benefit(np.array([c0]), rewards, 1.0)[0]
             assert abs(solve(rewards, cost).p - batch) <= 1e-12
 
     def test_regime_decided_only_by_solve(self):
@@ -408,6 +415,115 @@ class TestInversionWork:
         sol.pressure(np.linspace(0.0, sol.qbar, 512))
         assert kernel_work.calls == 2
         assert kernel_work.units == 2 * (n - 2) * (2 + 510)
+
+
+def table_work(n):
+    """Kernel work of one pressure table: the two rows of the last de
+    Casteljau step, degree n - 2, at _WALK nodes."""
+    return 2 * (n - 2) * _WALK
+
+
+class TestOneTablePerSolution:
+    """A solution builds its pressure table on its first pressure query
+    and keeps it: later queries pay only for their Newton passes, and
+    every query gets the same bits whichever query built the table."""
+
+    @pytest.mark.parametrize("query", ["pressure", "cdf", "payoff_residual"])
+    @pytest.mark.parametrize("n", [3, 10, 200])
+    def test_second_query_builds_no_table(self, kernel_work, query, n):
+        sol = solve(work_contest(n), GOLDEN_COST)
+        q = np.linspace(0.0, sol.qbar, 129)
+        kernel_work.reset()
+        first = getattr(sol, query)(q)
+        calls, units = kernel_work.calls, kernel_work.units
+        kernel_work.reset()
+        assert np.array_equal(getattr(sol, query)(q), first)
+        assert kernel_work.calls == calls - 1
+        assert kernel_work.units == units - table_work(n)
+
+    def test_contest_metrics_builds_one_table(self, kernel_work, monkeypatch):
+        # at n = 200 the grid route stops at the fifth level: four
+        # integrand calls, each a pressure query, and one table for all
+        def counted(f, a, b):
+            def g(x):
+                sizes.append(x.size)
+                return f(x)
+
+            return integrate(g, a, b)
+
+        n, sizes = 200, []
+        monkeypatch.setattr(metrics, "integrate", counted)
+        sol = solve(work_contest(n), GOLDEN_COST)
+        kernel_work.reset()
+        first = contest_metrics(sol)
+        calls, units = kernel_work.calls, kernel_work.units
+        assert sizes == [1536, 2048, 4096, 8192]
+        kernel_work.reset()
+        assert contest_metrics(sol) == first
+        assert kernel_work.calls == calls - 1
+        assert kernel_work.units == units - table_work(n)
+
+    def test_replaced_solution_builds_its_own_table(self, kernel_work):
+        # a shifted p is a new solution with a table on [0, p2]; the
+        # benchmark's self-test relies on this to catch a shifted p
+        rewards = work_contest(10)
+        sol = solve(rewards, GOLDEN_COST)
+        q = np.linspace(0.0, sol.qbar, 129)
+        before = sol.pressure(q)
+        p2 = 0.875 * sol.p
+        shifted = dataclasses.replace(sol, p=p2)
+        kernel_work.reset()
+        moved = shifted.pressure(q)
+        calls = kernel_work.calls
+        kernel_work.reset()
+        targets = np.asarray(GOLDEN_COST.value(q)) + sol.shift
+        assert np.array_equal(moved, invert_benefit(targets, rewards, p2))
+        assert kernel_work.calls == calls
+        assert moved[0] == p2
+        assert np.array_equal(sol.pressure(q), before)
+
+    def test_threads_racing_on_first_query(self):
+        # from Python 3.12 a first cached_property access takes no lock,
+        # so the threads may each build the table; every build has the
+        # same bits and queries only read it.  A short switch interval
+        # interleaves the threads inside the build
+        rewards = work_contest(200)
+        serial = solve(rewards, GOLDEN_COST)
+        q = np.linspace(0.0, serial.qbar, 1536)
+        queries = ("pressure", "cdf", "payoff_residual")
+        want = [getattr(serial, name)(q) for name in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                shared = solve(rewards, GOLDEN_COST)
+                barrier = threading.Barrier(4, timeout=60)
+
+                def run(i):
+                    barrier.wait()
+                    # each thread starts on another query
+                    order = queries[i % 3:] + queries[:i % 3]
+                    return {name: getattr(shared, name)(q) for name in order}
+
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    results = list(pool.map(run, range(4), timeout=120))
+                for got in results:
+                    for name, values in zip(queries, want):
+                        assert np.array_equal(got[name], values)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_later_queries_do_not_depend_on_the_first(self, n):
+        rng = np.random.default_rng(n)
+        rewards = work_contest(n)
+        one, many = solve(rewards, GOLDEN_COST), solve(rewards, GOLDEN_COST)
+        q = rng.uniform(0.0, one.qbar, 1536)
+        one.pressure(float(q[0]))
+        many.pressure(q)
+        later = np.concatenate((q[:129], rng.uniform(0.0, one.qbar, 129)))
+        for name in ("pressure", "cdf", "payoff_residual"):
+            assert np.array_equal(getattr(one, name)(later), getattr(many, name)(later))
 
 
 @pytest.mark.parametrize("n", [3, 10, 200, 1000])
