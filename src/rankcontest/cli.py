@@ -511,6 +511,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first call of main and reused by every later one: parsing
+# leaves the parser unchanged, and importing this module stays cheap
+_parser = None
+
+
 def _write_csv(path: str, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv_module.writer(handle)
@@ -519,9 +524,11 @@ def _write_csv(path: str, header, rows):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         spec = parse_instance(args)
         started = time.perf_counter()
         output, header, rows = COMMANDS[args.command].handler(spec)

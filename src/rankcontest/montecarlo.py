@@ -12,14 +12,18 @@ single-round replays therefore agree exactly, results are byte-stable
 across runs, and a parallel split by trial ranges could reproduce the
 same numbers by advancing each stream to its offset.
 
+Batch runs draw, invert and reduce one block of consecutive trials at
+a time, each block the next rows of the same streams, so memory is one
+block's draws plus a few floats per trial, whatever the trial count.
 Only entrants' quality draws are inverted; the quantile is elementwise,
 so this gives the same qualities as inverting every draw.  The
-deviation curve is built from rank counts: the opponents of each trial
-are sorted best-first, each k-th-best column is sorted over trials, and
-one ``searchsorted`` per column then counts, for the whole grid at
-once, the trials whose k-th best opponent beats q.  An opponent whose
-quality equals a grid point exactly is ranked against the deviator by
-the tie streams, trial by trial, at that point only.
+deviation curve is built from rank counts: in each block the opponents
+of each trial are sorted best-first, each k-th-best column is sorted
+over the block's trials, and one ``searchsorted`` per column then
+counts, for the whole grid at once, the trials whose k-th best opponent
+beats q.  Counts are integers, so their sum over blocks is exact.  An
+opponent whose quality equals a grid point exactly is ranked against
+the deviator by the tie streams, trial by trial, at that point only.
 """
 
 import math
@@ -35,12 +39,21 @@ from .errors import DomainError
 _ENTRY, _QUALITY, _TIE = 1, 2, 3
 _DEV_ENTRY, _DEV_QUALITY, _DEV_TIE, _DEV_SELF = 11, 12, 13, 14
 
-# Largest trials * n one call of run or deviation_check accepts.  Both
-# hold every draw at once: measured with tracemalloc at 2,000,000
-# agent-trials, they peak at about 32 bytes per agent-trial when some
-# agents stay out and 43 when all enter, so the cap keeps a call near
-# 0.85 GB; larger requests are refused before any stream is drawn.
+# Largest trials * n one call of run or deviation_check accepts; larger
+# requests are refused before any stream is drawn.  Memory does not grow
+# with trials * n (see _BLOCK), so the cap bounds time: at the cap, with
+# n = 200, each call took about 0.5 s at winner-take-all, where few
+# agents enter, and about 7 s at full entry, where every draw is inverted.
 MAX_AGENT_TRIALS = 20_000_000
+
+# Agent-trials (rows times agents) drawn, inverted and reduced at once.
+# At n = 200, blocks of 2**16 to 2**19 ran run and deviation_check in
+# 0.5 to 1.1 s per 100,000 winner-take-all trials, within the noise of a
+# shared 2-core machine, and peaked at 4.4, 7.6, 13.9 and 26.6 MB under
+# tracemalloc at full entry; 2**18 keeps the per-block numpy calls few
+# and the peak well under the 32 MB the tests allow.  Every call of the
+# benchmark's simulate workload (at most 50,000 agent-trials) is one block.
+_BLOCK = 2**18
 
 
 def _stream(seed: int, role: int) -> np.random.Generator:
@@ -184,12 +197,14 @@ def _entrant_qualities(
     """Qualities in the layout of ``entered``: the quantile of each
     entrant's draw from ``quality_stream``, ``fill`` for the others.
 
-    Only the entrants' draws are inverted.  The quantile is elementwise,
-    so an entrant's quality does not depend on who else entered.
+    One draw is taken per cell, entrant or not, so the stream stays in
+    step with the rows.  Only the entrants' draws are inverted.  The
+    quantile is elementwise, so an entrant's quality does not depend on
+    who else entered.
     """
+    draws = quality_stream.random(entered.shape)
     if not entered.any():
         return np.full(entered.shape, fill)
-    draws = quality_stream.random(entered.shape)
     if entered.all():
         return sol.quantile(draws.ravel()).reshape(entered.shape)
     # only the entrants' draws and qualities are alive during the quantile
@@ -199,6 +214,18 @@ def _entrant_qualities(
     out = np.full(entered.shape, fill)
     out[entered] = values
     return out
+
+
+def _blocks(sol: EquilibriumSolution, trials: int, seed: int, roles, agents: int, fill: float):
+    """(entered, qualities) of ``agents`` agents per trial, drawn from the
+    (entry, quality) streams ``roles`` one block of consecutive trials at
+    a time, each block of at most ``_BLOCK`` agent-trials and at least
+    one trial; see :func:`_entrant_qualities` for ``fill``."""
+    entry_stream, quality_stream = (_stream(seed, role) for role in roles)
+    rows = max(1, _BLOCK // agents)
+    for start in range(0, trials, rows):
+        entered = entry_stream.random((min(rows, trials - start), agents)) < sol.p
+        yield entered, _entrant_qualities(sol, entered, quality_stream, fill)
 
 
 def run(sol: EquilibriumSolution, trials: int, seed: int) -> SimulationReport:
@@ -211,14 +238,17 @@ def run(sol: EquilibriumSolution, trials: int, seed: int) -> SimulationReport:
     """
     n = sol.n
     _check_work(trials, n)
-    entered = _stream(seed, _ENTRY).random((trials, n)) < sol.p
-    qualities = _entrant_qualities(sol, entered, _stream(seed, _QUALITY), 0.0)
-    counts = entered.sum(axis=1)
-    del entered
+    # per trial: entrants, best quality and quality total
+    parts = [
+        (entered.sum(axis=1), qualities.max(axis=1), qualities.sum(axis=1))
+        for entered, qualities in _blocks(sol, trials, seed, (_ENTRY, _QUALITY), n, 0.0)
+    ]
+    counts, maxes, totals = (np.concatenate(part) for part in zip(*parts))
+    del parts
     prefix = np.concatenate(([0.0], np.cumsum(sol.rewards.as_array())))
     payouts = prefix[counts]
-    eq_max, eq_max_se = _mean_se(qualities.max(axis=1))
-    eq_avg, eq_avg_se = _mean_se(qualities.sum(axis=1) / n)
+    eq_max, eq_max_se = _mean_se(maxes)
+    eq_avg, eq_avg_se = _mean_se(totals / n)
     payout, payout_se = _mean_se(payouts)
     histogram = np.bincount(counts, minlength=n + 1)
     return SimulationReport(
@@ -234,13 +264,11 @@ def run(sol: EquilibriumSolution, trials: int, seed: int) -> SimulationReport:
     )
 
 
-def _opponent_qualities(
-    sol: EquilibriumSolution, trials: int, seed: int
-) -> np.ndarray:
-    """The deviator's n-1 opponents, one row per trial; -inf marks an
-    opponent who stays out, so that no grid quality ever ties with one."""
-    entered = _stream(seed, _DEV_ENTRY).random((trials, sol.n - 1)) < sol.p
-    return _entrant_qualities(sol, entered, _stream(seed, _DEV_QUALITY), -np.inf)
+def _opponent_blocks(sol: EquilibriumSolution, trials: int, seed: int):
+    """The deviator's n-1 opponents, one row per trial, block by block;
+    -inf marks an opponent who stays out, so that no grid quality ever
+    ties with one."""
+    return _blocks(sol, trials, seed, (_DEV_ENTRY, _DEV_QUALITY), sol.n - 1, -np.inf)
 
 
 def _rank_counts(
@@ -249,42 +277,49 @@ def _rank_counts(
     """counts[i, r]: the trials in which a deviator at ``q_grid[i]``
     ranks r+1, that is, loses to exactly r opponents.
 
-    The opponents of each trial are sorted best-first and then every
-    k-th-best column is sorted over trials, so the trials whose k-th
-    best opponent beats q are one ``searchsorted`` per column for the
-    whole grid.  An opponent whose quality equals q exactly (a left and
-    right ``searchsorted`` that disagree) beats the deviator when its
-    tie draw is the lower one; those grid points are ranked trial by
-    trial on the streams drawn again from their start, which repeat the
-    same numbers.
+    In each block of trials the opponents of each trial are sorted
+    best-first and then every k-th-best column is sorted over the
+    block, so the trials whose k-th best opponent beats q are one
+    ``searchsorted`` per column for the whole grid.  An opponent whose
+    quality equals q exactly (a left and right ``searchsorted`` that
+    disagree) beats the deviator when its tie draw is the lower one;
+    those grid points are ranked trial by trial on the streams drawn
+    again from their start, which repeat the same numbers block by
+    block.
     """
     n = sol.n
-    qualities = _opponent_qualities(sol, trials, seed)
-    # ascending rows put each trial's k-th best opponent in column n-1-k
-    qualities.sort(axis=1)
-    columns = qualities.T
-    columns.sort(axis=1)
     # at_least[i, k]: trials in which at least k opponents beat q_grid[i]
     at_least = np.zeros((q_grid.size, n + 1), dtype=np.int64)
     at_least[:, 0] = trials
     tied = np.zeros(q_grid.size, dtype=bool)
-    for k in range(1, n):
-        column = columns[n - 1 - k]
-        below = np.searchsorted(column, q_grid, side="right")
-        at_least[:, k] = trials - below
-        tied |= np.searchsorted(column, q_grid, side="left") != below
-    del qualities, columns, column
+    for _, qualities in _opponent_blocks(sol, trials, seed):
+        rows = qualities.shape[0]
+        # ascending rows put each trial's k-th best opponent in column n-1-k
+        qualities.sort(axis=1)
+        columns = qualities.T
+        columns.sort(axis=1)
+        for k in range(1, n):
+            column = columns[n - 1 - k]
+            if column[-1] == -np.inf:
+                # no trial of the block has k entrants: no opponent
+                # beats or ties q here or in any later column
+                break
+            below = np.searchsorted(column, q_grid, side="right")
+            at_least[:, k] += rows - below
+            tied |= np.searchsorted(column, q_grid, side="left") != below
     counts = at_least[:, :-1] - at_least[:, 1:]
     ties = np.flatnonzero(tied)
     if ties.size:
-        qualities = _opponent_qualities(sol, trials, seed)
-        self_tie = _stream(seed, _DEV_SELF).random(trials)
-        loses_tie = _stream(seed, _DEV_TIE).random(qualities.shape) < self_tie[:, None]
-        for i in ties:
-            q = q_grid[i]
-            beaten_by = (qualities > q).sum(axis=1)
-            beaten_by += ((qualities == q) & loses_tie).sum(axis=1)
-            counts[i] = np.bincount(beaten_by, minlength=n)
+        counts[ties] = 0
+        self_stream, tie_stream = _stream(seed, _DEV_SELF), _stream(seed, _DEV_TIE)
+        for _, qualities in _opponent_blocks(sol, trials, seed):
+            self_tie = self_stream.random(qualities.shape[0])
+            loses_tie = tie_stream.random(qualities.shape) < self_tie[:, None]
+            for i in ties:
+                q = q_grid[i]
+                beaten_by = (qualities > q).sum(axis=1)
+                beaten_by += ((qualities == q) & loses_tie).sum(axis=1)
+                counts[i] += np.bincount(beaten_by, minlength=n)
     return counts
 
 

@@ -32,6 +32,7 @@ from rankcontest.montecarlo import (
     _QUALITY,
     PayoffPoint,
     SimulationReport,
+    _entrant_qualities,
     _mean_se,
     _stream,
 )
@@ -291,7 +292,8 @@ def levelwise_integrate(f, a, b):
 
 
 # Oracles for the simulator: the routes that inverted every opponent
-# draw and ranked the deviator trial by trial at every grid point.
+# draw and ranked the deviator trial by trial at every grid point, and
+# the routes that held every trial's draws at once instead of a block.
 
 
 def run_oracle(sol, trials, seed):
@@ -353,6 +355,58 @@ def deviation_oracle(sol, q_grid, trials, seed):
         mean, se = _mean_se(payoff)
         points.append(PayoffPoint(q=float(q), mean_payoff=mean, stderr=se, trials=trials))
     return np.array(counts), tuple(points)
+
+
+def unblocked_run(sol, trials, seed):
+    """``montecarlo.run`` with every trial's draws held at once."""
+    n = sol.n
+    entered = _stream(seed, _ENTRY).random((trials, n)) < sol.p
+    qualities = _entrant_qualities(sol, entered, _stream(seed, _QUALITY), 0.0)
+    counts = entered.sum(axis=1)
+    prefix = np.concatenate(([0.0], np.cumsum(sol.rewards.as_array())))
+    eq_max, eq_max_se = _mean_se(qualities.max(axis=1))
+    eq_avg, eq_avg_se = _mean_se(qualities.sum(axis=1) / n)
+    payout, payout_se = _mean_se(prefix[counts])
+    return SimulationReport(
+        trials=trials,
+        seed=seed,
+        empirical_eq_max=eq_max,
+        eq_max_se=eq_max_se,
+        empirical_eq_avg=eq_avg,
+        eq_avg_se=eq_avg_se,
+        empirical_payout=payout,
+        payout_se=payout_se,
+        entrant_histogram=tuple(int(c) for c in np.bincount(counts, minlength=n + 1)),
+    )
+
+
+def unblocked_rank_counts(sol, q_grid, trials, seed):
+    """``montecarlo._rank_counts`` with every trial's opponents held at
+    once: one column sort over all trials, one tie re-draw of every
+    stream."""
+    n = sol.n
+    entered = _stream(seed, _DEV_ENTRY).random((trials, n - 1)) < sol.p
+    qualities = _entrant_qualities(sol, entered, _stream(seed, _DEV_QUALITY), -np.inf)
+    ranked = np.sort(qualities, axis=1).T
+    ranked.sort(axis=1)
+    at_least = np.zeros((q_grid.size, n + 1), dtype=np.int64)
+    at_least[:, 0] = trials
+    tied = np.zeros(q_grid.size, dtype=bool)
+    for k in range(1, n):
+        column = ranked[n - 1 - k]
+        below = np.searchsorted(column, q_grid, side="right")
+        at_least[:, k] = trials - below
+        tied |= np.searchsorted(column, q_grid, side="left") != below
+    counts = at_least[:, :-1] - at_least[:, 1:]
+    if tied.any():
+        self_tie = _stream(seed, _DEV_SELF).random(trials)
+        loses_tie = _stream(seed, _DEV_TIE).random(qualities.shape) < self_tie[:, None]
+        for i in np.flatnonzero(tied):
+            q = q_grid[i]
+            beaten_by = (qualities > q).sum(axis=1)
+            beaten_by += ((qualities == q) & loses_tie).sum(axis=1)
+            counts[i] = np.bincount(beaten_by, minlength=n)
+    return counts
 
 
 def opponent_qualities(sol, trials, seed):

@@ -543,6 +543,40 @@ class TestDeterminism:
         assert first == second
 
 
+class TestSharedParser:
+    # main builds its parser once per process; an argparse usage error
+    # and a validation error must leave it as later commands need it
+    SEQUENCE = [
+        (1, ["simulate", *GOLDEN, "--grid", "5"]),
+        (2, ["solve", "--rewards", "1,1,1", "--cost", "linear:c0=0.25,slope=1"]),
+        (0, ["simulate", *GOLDEN, "--trials", "300", "--seed", "4"]),
+        (0, ["deviate", *GOLDEN, "--trials", "300", "--grid", "7"]),
+        (0, ["solve", *GOLDEN, "--grid", "9"]),
+        (0, ["verify", "--suite", "golden"]),
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        code, record = run_cli(capsys, *argv)
+        if record is not None:
+            record.pop("wall_time_s")
+        return code, record, run_cli.err
+
+    def test_one_parser_gives_each_command_its_own_record(self, capsys, monkeypatch):
+        alone = []
+        for _, argv in self.SEQUENCE:
+            monkeypatch.setattr(cli, "_parser", None)
+            alone.append(self.outcome(capsys, argv))
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        monkeypatch.setattr(cli, "_parser", None)
+        shared = [self.outcome(capsys, argv) for _, argv in self.SEQUENCE]
+        assert [code for code, _, _ in shared] == [code for code, _ in self.SEQUENCE]
+        assert shared == alone
+        assert len(builds) == 1
+
+
 class TestSurface:
     def test_each_command_takes_only_the_settings_it_reads(self):
         parser = cli.build_parser()

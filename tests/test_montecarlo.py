@@ -22,6 +22,7 @@ from rankcontest import (
     solve,
     trial_streams,
 )
+from rankcontest import montecarlo, winner_take_all
 from rankcontest.montecarlo import MAX_AGENT_TRIALS, _rank_counts
 from conftest import (
     GOLDEN_COST,
@@ -30,6 +31,8 @@ from conftest import (
     random_cost,
     random_instance,
     run_oracle,
+    unblocked_rank_counts,
+    unblocked_run,
 )
 
 
@@ -276,11 +279,75 @@ class TestDeviationAgainstOracle:
             assert abs(point.stderr - want.stderr) <= 1e-15 * want.stderr
 
 
+def _hex(record: dict) -> dict:
+    return {key: value.hex() if isinstance(value, float) else value
+            for key, value in record.items()}
+
+
+class TestBlocksAgainstOracle:
+    """Runs drawn and reduced block by block against the routes that held
+    every trial at once: the same bits in every report."""
+
+    @staticmethod
+    def oracle_curve(monkeypatch, sol, grid, trials, seed):
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_rank_counts", unblocked_rank_counts)
+            return deviation_check(sol, grid, trials, seed)
+
+    @pytest.mark.parametrize("regime", ["interior", "full"])
+    @pytest.mark.parametrize("n", [2, 3, 100, 200])
+    def test_reports_match_unblocked(self, monkeypatch, n, regime):
+        sol, rng = _contest(8 * n + len(regime), n, regime)
+        seed = int(rng.integers(2**31))
+        # two whole blocks of run and a part, which leaves deviation_check
+        # (n-1 agents a trial) one whole block and a part
+        trials = 2 * (montecarlo._BLOCK // n) + 7
+        for agents in (n, n - 1):
+            assert trials > montecarlo._BLOCK // agents
+            assert trials % (montecarlo._BLOCK // agents)
+        assert _hex(run(sol, trials, seed).to_dict()) == _hex(
+            unblocked_run(sol, trials, seed).to_dict()
+        )
+        grid = np.linspace(0.0, 1.3 * sol.qbar + 0.1, 33)
+        # a few drawn qualities, each tied in its own trial
+        grid = np.concatenate((grid, rng.choice(opponent_qualities(sol, trials, seed), 4)))
+        np.testing.assert_array_equal(
+            _rank_counts(sol, grid, trials, seed), unblocked_rank_counts(sol, grid, trials, seed)
+        )
+        got = deviation_check(sol, grid, trials, seed)
+        want = self.oracle_curve(monkeypatch, sol, grid, trials, seed)
+        assert [_hex(p.to_dict()) for p in got] == [_hex(p.to_dict()) for p in want]
+
+    def test_ties_redrawn_across_blocks(self, monkeypatch):
+        # eight tied top prizes make the benefit flat to eighth order at
+        # x = 0, so about one draw in two hundred inverts to qbar exactly
+        sol = solve(RewardVector((1.0,) * 8 + (0.5, 0.0)), GOLDEN_COST)
+        trials, seed = 70_000, 5
+        drawn, times = np.unique(opponent_qualities(sol, trials, seed), return_counts=True)
+        common = drawn[times.argmax()]
+        blocks_tied = [
+            bool((qualities == common).any())
+            for _, qualities in montecarlo._opponent_blocks(sol, trials, seed)
+        ]
+        assert len(blocks_tied) > 2 and all(blocks_tied)
+        grid = np.array([0.0, 0.5 * sol.qbar, common, sol.qbar, sol.qbar + 0.1])
+        counts = _rank_counts(sol, grid, trials, seed)
+        np.testing.assert_array_equal(counts, unblocked_rank_counts(sol, grid, trials, seed))
+        got = deviation_check(sol, grid, trials, seed)
+        want = self.oracle_curve(monkeypatch, sol, grid, trials, seed)
+        assert [_hex(p.to_dict()) for p in got] == [_hex(p.to_dict()) for p in want]
+
+
 class TestMemory:
-    # the quantile's Bernstein sum keeps O(points) floats: 1,000 trials
-    # of n = 100 draw 100,000 qualities, about 0.8 MB a vector, where a
+    # a call holds one block of draws (at most montecarlo._BLOCK
+    # agent-trials) with the quantile's O(points) Bernstein vectors for
+    # its entrants, and three floats per trial; 1,000 trials of n = 100
+    # are one block of 100,000 qualities, about 0.8 MB a vector, where a
     # mass matrix of every point would take 80 MB
     PEAK_MB = 20.0
+    # the CLI default of 100,000 trials at n = 200 is 20,000,000
+    # agent-trials, all of the work cap; held at once they took 173 MB
+    CLI_DEFAULT_PEAK_MB = 32.0
 
     @pytest.fixture(scope="class")
     def linear_100(self):
@@ -303,6 +370,19 @@ class TestMemory:
         grid = np.linspace(0.0, linear_100.qbar, 9)
         peak = self.peak_mb(lambda: deviation_check(linear_100, grid, 1000, seed=3))
         assert peak <= self.PEAK_MB
+
+    @pytest.fixture(scope="class")
+    def wta_200(self):
+        return solve(winner_take_all(200, 1.0), GOLDEN_COST)
+
+    def test_run_peak_at_cli_default(self, wta_200):
+        peak = self.peak_mb(lambda: run(wta_200, 100_000, seed=3))
+        assert peak <= self.CLI_DEFAULT_PEAK_MB
+
+    def test_deviation_check_peak_at_cli_default(self, wta_200):
+        grid = np.linspace(0.0, wta_200.qbar + 0.25, 129)
+        peak = self.peak_mb(lambda: deviation_check(wta_200, grid, 100_000, seed=3))
+        assert peak <= self.CLI_DEFAULT_PEAK_MB
 
     @pytest.mark.parametrize(
         "prizes, trials",
