@@ -15,29 +15,24 @@ point above 1/2 walks down from x**m; in y = 1 - x (exact there) that is
 the upward walk with the masses reversed, so every walk runs upward.
 
 Two consumers share the recurrence, and neither stores a mass matrix
-over all points.  :func:`bernstein` sums c_i * t_i in walk order, one
-block of at most ``_BLOCK`` rows times points at a time, in one of two
-loop orders that do the same products and the same left-to-right sums
-and so agree to the bit.  A block of more than ``_WALK`` points loops
-over the degrees in Python, each step one vector operation across the
-block, and holds a few vectors of the block's length per row.  The
-loop sums the plain rows for points at or below 1/2 and the reversed
-rows for points above it, so a block that holds both sides pays for
-both orientations at every point.  A set of more than ``_SPLIT`` rows
-times points and ``_SPLIT_WORK`` rows times points times degree is
-therefore summed one side at a time, and each of its points in one
-orientation: as two runs of consecutive points where its sides are
-runs (sorted points, a set on one side), else each side gathered by
-index and its sums scattered back.  A smaller set keeps its sides
-together, blocked in input order; there the second loop and the
-gather and scatter would cost more than the orientation they save.  A
-block of at most ``_WALK`` points, where the loop's per-step overhead
-would dominate, walks the degree axis inside numpy instead: every
-factor of every point in one array, one cumulative product for the
-masses, one cumulative sum per row, each point with its own
-orientation of the rows.  That holds 3m+2 floats per point, about 3 MB
-at m = 999 and ``_WALK`` points.  At degree 2 or less the loop has
-only a step or two, fewer calls than the walk, and takes every block.
+over all points.  :func:`bernstein` splits every set at 1/2 and sums
+each side in blocks of at most ``_BLOCK`` rows times points, so every
+block lies on one side and its rows are oriented once per block: plain
+at or below 1/2, reversed above.  A side that is one run of consecutive
+points (sorted points, a set on one side) is blocked as slices; a side
+that interleaves with the other is gathered by index one block at a
+time and each block's sums are scattered back.  A block is summed in
+one of two loop orders that do the same products and the same
+left-to-right sums and so agree to the bit.  A block of more than
+``_WALK`` points loops over the degrees in Python, each step one vector
+operation across the block, and holds a few vectors of the block's
+length per row.  A block of at most ``_WALK`` points, where the loop's
+per-step overhead would dominate, walks the degree axis inside numpy
+instead: every factor of every point in one array, one cumulative
+product for the masses, one cumulative sum per row.  That holds 3m+2
+floats per point, about 3 MB at m = 999 and ``_WALK`` points.  At
+degree 2 or less the loop has only a step or two, fewer calls than the
+walk, and takes every block.
 :func:`tail_vector` needs every mass at one point, for the budget and
 the rank odds, and takes them from the walk's cumulative product, so
 its tails are the kernel's masses summed from the right, to the bit.
@@ -60,16 +55,6 @@ _WALK = 128
 # blocks of at most this degree take the loop whatever their size: its
 # one or two steps cost less than the walk's dozen numpy calls
 _LOOP_DEGREE = 2
-# a set of more than _SPLIT rows times points and more than _SPLIT_WORK
-# rows times points times degree is summed one side at a time.  Below
-# either, the second loop's per-step calls and the gather and scatter
-# cost more than the orientation they save: measured on interleaved
-# points, one row on 300 to 2,000 points took 1.2 to 1.7 times as long
-# cut as whole at m = 20 to 199, and two or three rows on 1,536 points
-# took 1.1 to 1.7 times as long at m = 1 to 6 but 0.6 to 0.9 times at
-# m = 8 to 199
-_SPLIT = 2048
-_SPLIT_WORK = 20_000
 
 
 def tail_vector(m: int, x: float) -> np.ndarray:
@@ -97,82 +82,59 @@ def bernstein(coeffs, x) -> np.ndarray:
     c = np.asarray(coeffs, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     rows = c.reshape(-1, c.shape[-1])
-    k, m = rows.shape[0], rows.shape[1] - 1
-    out = np.empty((k, x.size))
-    # a point above 1/2 walks upward in y = 1 - x with the coefficients
-    # reversed, so both halves share one recurrence
+    out = np.empty((rows.shape[0], x.size))
     far = x > 0.5
-    if k * x.size <= _SPLIT:
-        # one block (_SPLIT < _BLOCK), its sides kept together
-        _sum_block(rows, x, far, out)
-        return out.reshape(c.shape[:-1] + x.shape)
-    width = max(1, _BLOCK // k)
-    if k * x.size * m <= _SPLIT_WORK:
-        cut = 0  # blocks in input order, each with the sides it holds
+    count = int(np.count_nonzero(far))
+    # the near side, then the far side: two runs where the far points
+    # lead or trail the set, else each side's indices
+    if far[:count].all():
+        sides = (range(count, x.size), range(count))
+    elif far[x.size - count :].all():
+        sides = (range(x.size - count), range(x.size - count, x.size))
     else:
-        # one side at a time, so that every block holds one side and
-        # its loop sums one orientation of the rows
-        count = int(np.count_nonzero(far))
-        if far[:count].all():
-            cut = count  # the far side first, or one side only
-        elif far[x.size - count :].all():
-            cut = x.size - count  # the near side first
-        else:
-            _sum_gathered(rows, x, far, width, out)
-            return out.reshape(c.shape[:-1] + x.shape)
-    for lo, hi in ((0, cut), (cut, x.size)):
-        for start in range(lo, hi, width):
-            part = slice(start, min(start + width, hi))
-            _sum_block(rows, x[part], far[part], out[:, part])
+        sides = (np.flatnonzero(~far), np.flatnonzero(far))
+    width = max(1, _BLOCK // rows.shape[0])
+    # a point above 1/2 walks upward in y = 1 - x with the coefficients
+    # reversed, so both sides share one recurrence
+    for at, oriented, flip in zip(sides, (rows, rows[:, ::-1]), (False, True)):
+        for start in range(0, len(at), width):
+            part = at[start : start + width]
+            run = isinstance(part, range)
+            if run:
+                part = slice(part.start, part.stop)
+            sums = out[:, part] if run else np.empty((rows.shape[0], part.size))
+            _sum_block(oriented, 1.0 - x[part] if flip else x[part], sums)
+            if not run:
+                # row by row: numpy scatters a 1-d row faster than a 2-d block
+                for row, values in zip(out, sums):
+                    row[part] = values
     return out.reshape(c.shape[:-1] + x.shape)
 
 
-def _sum_gathered(rows, x, far, width, out):
-    """Write the sums of a set whose sides interleave: each side
-    gathered by index, summed in blocks and scattered back."""
-    for at in (np.flatnonzero(~far), np.flatnonzero(far)):
-        for start in range(0, at.size, width):
-            part = at[start : start + width]
-            sums = np.empty((rows.shape[0], part.size))
-            _sum_block(rows, x[part], far[part], sums)
-            # row by row: numpy scatters a 1-d row faster than a 2-d block
-            for row, values in zip(out, sums):
-                row[part] = values
-
-
-def _sum_block(rows, block, far, sums):
-    """Write the sums at one block of points, walked or looped."""
-    y = np.where(far, 1.0 - block, block)
+def _sum_block(rows, y, sums):
+    """Write the sums of the oriented rows at one block of points y, all
+    at most 1/2, walked or looped."""
     ratio = y / (1.0 - y)
-    walk = block.size <= _WALK and rows.shape[1] - 1 > _LOOP_DEGREE
+    walk = y.size <= _WALK and rows.shape[1] - 1 > _LOOP_DEGREE
     order = _walk_degrees if walk else _loop_degrees
-    order(rows, far, y, ratio, sums)
+    order(rows, y, ratio, sums)
 
 
-def _loop_degrees(rows, far, y, ratio, sums):
-    """Write one block's sums, one Python step per degree, summing the
-    plain rows only if some point lies at or below 1/2 and the reversed
-    rows only if some point lies above it."""
-    k, m = rows.shape[0], rows.shape[1] - 1
-    near, away = not far.all(), bool(far.any())
-    cols = rows if near else rows[:, ::-1]
-    if near and away:
-        cols = np.concatenate((rows, rows[:, ::-1]))
-    cols = cols.T[:, :, None]
+def _loop_degrees(rows, y, ratio, sums):
+    """Write one block's sums, one Python step per degree."""
+    m = rows.shape[1] - 1
+    cols = rows.T[:, :, None]
     t = (1.0 - y) ** m
-    acc = cols[0] * t
-    term = np.empty_like(acc)
+    np.multiply(cols[0], t, out=sums)
+    term = np.empty_like(sums)
     for i in range(m):
         t *= ratio
         t *= (m - i) / (i + 1)
         np.multiply(cols[i + 1], t, out=term)
-        acc += term
-    sums[...] = acc[:k]
-    if near and away:
-        np.copyto(sums, acc[k:], where=far)
+        sums += term
 
 
-def _walk_degrees(rows, far, y, ratio, sums):
+def _walk_degrees(rows, y, ratio, sums):
     """Write one block's sums with the degree axis walked inside numpy:
     the products of :func:`_loop_degrees` in the same order, then the
     same left-to-right sums, so the bits agree."""
@@ -182,7 +144,6 @@ def _walk_degrees(rows, far, y, ratio, sums):
     terms = np.empty_like(masses)
     for row, c in zip(sums, rows):
         np.copyto(terms, c)
-        np.copyto(terms, c[::-1], where=far[:, None])
         terms *= masses
         np.add.accumulate(terms, axis=1, out=terms)
         row[...] = terms[:, -1]

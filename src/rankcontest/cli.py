@@ -123,7 +123,10 @@ _RELATIONS = {
     "one of": lambda v, of: v in of,
 }
 _TYPE_NAMES = {
-    int: "an integer", float: "a finite number", list: "a list of finite numbers", str: "a string"
+    int: "an integer",
+    float: "a finite number",
+    list: "a non-empty list of finite numbers",
+    str: "a string",
 }
 
 
@@ -154,6 +157,8 @@ def _convert(name: str, raw, text: bool = False):
         value = _typed(kind, raw, text)
         if kind in (float, list) and not np.all(np.isfinite(value)):
             raise ValueError  # nan and inf, which json.load also accepts
+        if kind is list and not value:
+            raise ValueError  # a sweep or schedule of nothing
     except (ValueError, OverflowError):
         raise DomainError(f"{name} must be {_TYPE_NAMES[kind]}, got {raw!r}") from None
     bound = SETTINGS[name].metadata["bound"]

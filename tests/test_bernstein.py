@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from rankcontest import LinearCost, RewardVector, benefit_slope, binom, expected_benefit, solve
 from rankcontest.binom import (
     _BLOCK,
-    _SPLIT,
     _WALK,
     _loop_degrees,
     _walk_degrees,
@@ -106,8 +105,8 @@ def test_bernstein_value_does_not_depend_on_batch(m):
         alone = np.stack([bernstein(c, float(v))[..., 0] for v in walked], axis=-1)
         assert np.array_equal(in_walk, in_loop)
         assert np.array_equal(in_walk, alone)
-    # blocks the loop takes with only one orientation of the rows, and
-    # the same points inside a block that holds both
+    # blocks the loop takes, and the same points inside a set that holds
+    # both sides
     for side in one_sided_blocks(rng, _WALK + 8):
         mixed = np.concatenate((side, 1.0 - side))
         for k in (1, 3):
@@ -121,57 +120,66 @@ def test_bernstein_value_does_not_depend_on_batch(m):
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 10])
 def test_walk_and_loop_orders_agree_to_the_bit(m):
     # bernstein sends every block of degree <= 2 to the loop, so the two
-    # orders meet only here at those degrees; the one-sided blocks are
-    # longer than _WALK, where bernstein itself takes the loop
+    # orders meet only here at those degrees; the blocks are longer than
+    # _WALK, where bernstein itself takes the loop.  Each block lies on
+    # one side of 1/2, and is summed with the rows in both orientations
     rng = np.random.default_rng(m)
-    mixed = np.concatenate((EDGE_POINTS, rng.random(_WALK - EDGE_POINTS.size)))
-    for x in (mixed, *one_sided_blocks(rng, 2 * _WALK)):
-        far = x > 0.5
-        y = np.where(far, 1.0 - x, x)
+    for x in one_sided_blocks(rng, 2 * _WALK):
+        far = x[0] > 0.5
+        y = 1.0 - x if far else x
         ratio = y / (1.0 - y)
         for k in (1, 3):
             rows = rng.normal(size=(k, m + 1))
-            walked = np.empty((k, x.size))
-            looped = np.empty((k, x.size))
-            _walk_degrees(rows, far, y, ratio, walked)
-            _loop_degrees(rows, far, y, ratio, looped)
-            assert np.array_equal(walked, looped)
-            assert np.array_equal(walked, bernstein(rows, x))
+            for c in (rows, rows[:, ::-1]):
+                oriented = c[:, ::-1] if far else c
+                walked = np.empty((k, x.size))
+                looped = np.empty((k, x.size))
+                _walk_degrees(oriented, y, ratio, walked)
+                _loop_degrees(oriented, y, ratio, looped)
+                assert np.array_equal(walked, looped)
+                assert np.array_equal(walked, bernstein(c, x))
 
 
 @pytest.mark.parametrize("order", ["drawn", "ascending", "descending"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_straddling_set_sums_each_point_in_one_orientation(monkeypatch, k, order):
-    # rows x points x m summed by the two orders: the loop sums one
-    # orientation of the rows for each side of 1/2 its block holds, the
-    # walk one per point.  Every point of a large set on both sides of
-    # 1/2, its sides interleaved or in two runs, must be summed in one
-    # orientation, and get the bits a small set with both sides gives it.
-    work = []
-
-    def counted(kernel, orientations):
-        def run(rows, far, y, ratio, sums):
-            work.append(rows.shape[0] * orientations(far) * y.size * (rows.shape[1] - 1))
-            kernel(rows, far, y, ratio, sums)
-
-        return run
-
-    monkeypatch.setattr(
-        binom, "_loop_degrees",
-        counted(binom._loop_degrees, lambda far: int(far.any()) + int(not far.all())),
-    )
-    monkeypatch.setattr(binom, "_walk_degrees", counted(binom._walk_degrees, lambda far: 1))
+    # every block bernstein sums lies on one side of 1/2: the plain rows
+    # at points at or below it, the reversed rows at 1 - x for points
+    # above it, at most _BLOCK rows x points at a time.  So each point is
+    # summed once, in one orientation, and the work is rows x points x m.
+    # The sets straddle 1/2, small and large, their sides interleaved or
+    # in two runs, and each point gets the bits a small set gives it.
     rng = np.random.default_rng(k)
-    m = 99
-    x = np.concatenate((EDGE_POINTS, rng.random(2 * _BLOCK - EDGE_POINTS.size)))
-    x = {"drawn": x, "ascending": np.sort(x), "descending": np.sort(x)[::-1]}[order]
-    rows = rng.normal(size=(k, m + 1))
-    got = bernstein(rows, x)
-    assert sum(work) == k * x.size * m
-    monkeypatch.undo()
-    small = _SPLIT // k
-    pieces = [bernstein(rows, x[i : i + small]) for i in range(0, x.size, small)]
-    assert np.array_equal(got, np.concatenate(pieces, axis=1))
+    large = np.concatenate((EDGE_POINTS, rng.random(2 * _BLOCK - EDGE_POINTS.size)))
+    sets = [
+        (np.array([0.25, 0.75]), 3),  # one point on each side
+        (np.linspace(0.0, 1.0, 129), 5),
+        (rng.random(1000), 50),
+        (large, 99),
+    ]
+    for x, m in sets:
+        x = {"drawn": x, "ascending": np.sort(x), "descending": np.sort(x)[::-1]}[order]
+        rows = rng.normal(size=(k, m + 1))
+        blocks = []
+
+        def spy(oriented, y, sums, kernel=binom._sum_block):
+            blocks.append((oriented, y.copy()))
+            kernel(oriented, y, sums)
+
+        monkeypatch.setattr(binom, "_sum_block", spy)
+        got = bernstein(rows, x)
+        monkeypatch.undo()
+        plain = [y for oriented, y in blocks if np.array_equal(oriented, rows)]
+        flipped = [y for oriented, y in blocks if np.array_equal(oriented, rows[:, ::-1])]
+        assert len(plain) + len(flipped) == len(blocks)
+        assert np.array_equal(np.sort(np.concatenate(plain)), np.sort(x[x <= 0.5]))
+        assert np.array_equal(np.sort(np.concatenate(flipped)), np.sort(1.0 - x[x > 0.5]))
+        assert all(k * y.size <= _BLOCK for _, y in blocks)
+        work = sum(oriented.shape[0] * y.size * (oriented.shape[1] - 1) for oriented, y in blocks)
+        assert work == k * x.size * m
+        small = _WALK // 2
+        pieces = [bernstein(rows, x[i : i + small]) for i in range(0, x.size, small)]
+        assert np.array_equal(got, np.concatenate(pieces, axis=1))
 
 
 def test_bernstein_memory_is_bounded_per_block():

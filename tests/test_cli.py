@@ -364,6 +364,21 @@ class TestExitCodes:
         code, record = run_cli(capsys, *with_setting(tmp_path, source, command, key, value))
         assert_refused(code, record, key, source)
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, key",
+        [("solve", "rewards"), ("metrics", "caps"), ("tax-sweep", "taxes"),
+         ("avg-sign-sweep", "budgets")],
+    )
+    def test_empty_list_setting_validation(self, capsys, tmp_path, source, command, key):
+        # every list setting; an empty taxes or budgets sweep used to exit
+        # 0 with no rows, and an empty schedule was refused without naming
+        # its key
+        value = "," if source == "flag" else []
+        code, record = run_cli(capsys, *with_setting(tmp_path, source, command, key, value))
+        assert_refused(code, record, key, source)
+        assert f"{key} must be a non-empty list" in run_cli.err
+
     @pytest.mark.parametrize("command, key, value", WRONG_TYPE)
     def test_wrong_type_config_value_validation(self, capsys, tmp_path, command, key, value):
         code, record = run_cli(capsys, *with_setting(tmp_path, "config", command, key, value))

@@ -430,6 +430,61 @@ class TestPressureRoute:
         assert ".derivative(" not in source
 
 
+def _curved_closed_forms(n, A, c0, s):
+    """(p, budget, E[max], E[avg]) of the contest a_{i+1} = A (1 - i/m)**2,
+    m = n - 1, with cost c0 + s q and 0 < c0 < A.
+
+    The Bernstein operator maps t**2 to x**2 + x (1-x) / m (Lorentz,
+    Bernstein Polynomials, 1953), so the benefit is A (1-x)**2 + A x (1-x)
+    / m, and in u = 1 - x it is A ((1 - 1/m) u**2 + u / m).  Entry solves
+    benefit = c0 (with r = c0 / A, the stable root below); the budget is
+    n times I, the benefit integrated over [0, p]; q = (benefit - c0) / s
+    integrates to E[avg], and against n u**(n-1) to E[max].  Each 1 - u**k
+    is taken as -expm1(k log u).  Checked against mpmath sums and
+    quadrature at 40 digits for n from 2 to 1000: within 4.1e-16.
+    """
+    m = n - 1
+    r = c0 / A
+    u = 2.0 * r / (1.0 / m + math.sqrt(1.0 / m**2 + 4.0 * (1.0 - 1.0 / m) * r))
+    log_u = math.log(u)
+
+    def rest(k):
+        return -math.expm1(k * log_u)  # 1 - u**k
+
+    p = 1.0 - u
+    integral = A * ((1.0 - 1.0 / m) * rest(3) / 3.0 + rest(2) / (2.0 * m))
+    eq_max = (n / s) * (
+        A * (1.0 - 1.0 / m) * rest(n + 2) / (n + 2)
+        + A * rest(n + 1) / (m * (n + 1))
+        - c0 * rest(n) / n
+    )
+    return p, n * integral, eq_max, (integral - c0 * p) / s
+
+
+class TestCurvedClosedForms:
+    """Exact references at every n, for prizes falling as the square of
+    the rank's share and a linear cost."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 50, 200, MAX_AGENTS])
+    def test_matches_exact_references(self, n):
+        # (A, c0, slope) with c0 / A at 0.1, 0.25 and 0.5; the worst error,
+        # 9.1e-14, is the budget at n = 1000 and c0 / A = 0.5.  p's error
+        # is the benefit's rounding (O(m) ulps) over p |benefit'(p)|, so
+        # it grows as c0 / A nears 1 and p shrinks: at n = 1000 a ratio of
+        # 0.6 gives 1.3e-13 and one of 0.9 gives 3.2e-13
+        for A, c0, slope in [(5.0, 0.5, 2.0), (1.0, 0.25, 1.0), (2.0, 1.0, 0.5)]:
+            prizes = tuple(A * (1.0 - i / (n - 1)) ** 2 for i in range(n))
+            sol = solve(RewardVector(prizes), LinearCost(c0=c0, slope=slope))
+            got = (
+                sol.p,
+                expected_budget(sol),
+                expected_max_quality(sol),
+                expected_avg_quality(sol),
+            )
+            want = _curved_closed_forms(n, A, c0, slope)
+            assert np.all(np.abs(np.subtract(got, want)) <= 1e-13 * np.abs(want))
+
+
 class TestSharedEvaluation:
     """contest_metrics shares one tail vector and one quadrature pass;
     every number must stay exactly what the single-purpose functions
