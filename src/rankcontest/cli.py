@@ -48,6 +48,7 @@ from .errors import (
 )
 from .mechanism import MAX_AGENTS, AttentionCaps, RewardVector, attention_schedule, winner_take_all
 from .metrics import (
+    _pressure_integral,
     binomial_tail,
     contest_metrics,
     expected_avg_quality,
@@ -424,9 +425,9 @@ def _identity_checks():
                 q = sol.cost.inverse(expected_benefit(x, sol.rewards) - sol.shift)
                 return sol.cost.value(q)
 
-            integral, _ = integrate(rent, 0.0, sol.p)
+            (integral,), _ = _pressure_integral(sol, rent, ("avg",))
             exact = expected_budget(sol) / sol.n - sol.shift * sol.p
-            worst_rent = max(worst_rent, abs(integral - exact) / exact)
+            worst_rent = max(worst_rent, float(abs(integral - exact)) / exact)
     checks.append((f"rent dissipation (worst {worst_rent:.2e})", worst_rent <= 1e-12))
 
     # linear costs: E[avg] = (B/n - (c0 + shift) p) / s, here on tied top

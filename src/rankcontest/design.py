@@ -32,8 +32,7 @@ from .costs import CostModel, HAZARD_CONSTANT, HAZARD_NONINCREASING
 from .equilibrium import REGIME_FULL, REGIME_NO_ENTRY, benefit_slope, solve
 from .errors import ContestError, ConvergenceError, DomainError
 from .mechanism import AttentionCaps, RewardVector, attention_schedule, winner_take_all
-from .metrics import _by_parts, contest_metrics, expected_budget, expected_max_quality
-from .quadrature import integrate
+from .metrics import _pressure_integral, contest_metrics, expected_budget, expected_max_quality
 from .rootfind import _rounding_noise, bracketed_root
 
 _SENSITIVITY_GRID = 50
@@ -424,9 +423,9 @@ def _budget_matched_derivative(rewards, cost, rank, base_sol):
         basis = sums[1:]
         basis[1] -= dshift
         basis *= 1.0 / cost.derivative(cost.inverse(sums[0] - base_sol.shift))
-        return _by_parts(basis, x, n)
+        return basis
 
-    (max1, maxs, avg1, avgs), _ = integrate(integrand, 0.0, p)
+    (max1, maxs, avg1, avgs), _ = _pressure_integral(base_sol, integrand, ("max", "avg"))
     return PerturbationResult(
         rank=rank,
         step=step,

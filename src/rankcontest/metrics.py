@@ -15,19 +15,20 @@ and the chance that one named agent holds rank k is the same tail over
 n.  :func:`contest_metrics` builds that tail vector once for the budget
 and every rank.
 
-Quality statistics are integrals of the survival function over the
-support and are evaluated with the library's one quadrature rule
-(:mod:`rankcontest.quadrature`): composite Gauss-Legendre panels that
-double until two successive estimates agree.  The best and the average
-quality integrate over the same nodes, so :func:`contest_metrics` runs
-them as two rows of one pass and inverts the pressure at each node once
-for both; each row keeps its own stopping test, so it returns exactly
-what :func:`expected_max_quality` or :func:`expected_avg_quality` does
-alone.  A second route integrates them by parts in pressure space,
-with q(x) = c^{-1}(benefit(x) - shift): E[max] and E[avg] are the
-integrals over [0, p] of q(x) n (1-x)**(n-1) and of q(x), at one kernel
-pass and one cost inverse per node.  It takes the tied prizes that
-stall the first route, and is kept as its cross-check.
+Quality statistics are integrals over the support, evaluated with the
+library's one quadrature rule (:mod:`rankcontest.quadrature`).  The
+grid route integrates the survival function in q and inverts the
+pressure at each node once for both statistics; each row keeps its own
+stopping test, so :func:`contest_metrics` returns exactly what
+:func:`expected_max_quality` or :func:`expected_avg_quality` does alone.
+Every other integral over the pressure x in [0, p] goes through
+:func:`_pressure_integral`.  With q(x) = c^{-1}(benefit(x) - shift),
+E[max] and E[avg] are by parts the integrals of q(x) n (1-x)**(n-1) and
+of q(x), and their prize derivatives those of dq/da_k against the same
+weights.  Each runs in t on [0, 1] with x = p (1 - t**2), dx = 2 p t dt,
+which smooths the square-root layer of q at x = p, where q = 0, and the
+1/c'(q) spike there on costs with a small c'(0).  This route takes the
+tied prizes that stall the grid route, and cross-checks it elsewhere.
 """
 
 import math
@@ -102,11 +103,9 @@ def expected_max_quality(sol: EquilibriumSolution, *, method: str = "grid") -> f
     The best of the n independent (enter, draw quality) plays exceeds q
     unless every rival stays below, so the survival function is
     1 - (1 - x(q))**n and the expectation is its integral over the
-    support.  ``method="substitution"`` integrates it by parts in
-    pressure space instead, as the integral of q(x) n (1-x)**(n-1) over
-    [0, p] with q(x) = c^{-1}(benefit(x) - shift), which needs the cost
-    inverse but no per-node root finding; the two routes agree to
-    quadrature tolerance and serve as mutual checks.
+    support.  ``method="substitution"`` integrates q(x) n (1-x)**(n-1)
+    over [0, p] instead, with no per-node root finding; the two routes
+    agree to quadrature tolerance and serve as mutual checks.
     """
     values, _ = _quality_integral(sol, ("max",), method)
     return float(values[0])
@@ -120,48 +119,47 @@ def expected_avg_quality(sol: EquilibriumSolution, *, method: str = "grid") -> f
     return float(values[0])
 
 
-def _by_parts(g, x, n):
-    """Rows g n (1-x)**(n-1), then rows g: over [0, p] the by-parts
-    integrands of E[max] and E[avg] for g = q(x), or of their
-    derivatives for g = dq/da_k."""
-    g = np.atleast_2d(g)
-    return np.concatenate((g * (n * (1.0 - x) ** (n - 1)), g))
+def _pressure_integral(sol, g, which):
+    """Integrate the rows of ``g(x)`` over [0, p] against the by-parts
+    weights in ``which`` ("max": n (1-x)**(n-1), "avg": 1), in t with
+    x = p (1 - t**2); values and estimates come weight by weight."""
+    n, p = sol.n, sol.p
+
+    def f(t):
+        x = p * (1.0 - t * t)
+        rows = np.atleast_2d(g(x)) * (2.0 * p * t)
+        return np.concatenate(
+            [rows * (n * (1.0 - x) ** (n - 1)) if w == "max" else rows for w in which]
+        )
+
+    return integrate(f, 0.0, 1.0)
 
 
 def _quality_integral(sol, which, method):
-    """Integrate the rows named in ``which`` ("max", "avg") in one pass.
-
-    Returns per-row arrays (values, error estimates).  Every node's
-    pressure, or on the pressure-space route its q(x), is computed once
-    and feeds all rows.
-    """
+    """Integrate the rows named in ``which`` ("max", "avg") in one pass,
+    with each node's pressure or q(x) computed once for all rows."""
     if method not in ("grid", "substitution"):
         raise DomainError(f"unknown method {method!r}")
-    zeros = np.zeros(len(which))
     if sol.regime == REGIME_NO_ENTRY:
+        zeros = np.zeros(len(which))
         return zeros, zeros
-    n = sol.n
-    pick = [("max", "avg").index(name) for name in which]
-    if method == "grid" and _support_endpoint_singular(sol):
-        # ties at the relevant end of the prize vector give x(q) an
-        # infinite derivative at a support endpoint, which stalls
-        # panel doubling; the pressure-space route stays smooth there
-        method = "substitution"
-    if method == "grid":
+    # ties at the relevant end of the prize vector give x(q) an infinite
+    # derivative at a support endpoint, which stalls panel doubling; the
+    # pressure-space route stays smooth there
+    if method == "grid" and not _support_endpoint_singular(sol):
+        n = sol.n
+        pick = [("max", "avg").index(name) for name in which]
+
         def f(q):
             x = sol.pressure(q)
             return np.stack((1.0 - (1.0 - x) ** n, x))[pick]
 
-        hi = sol.qbar
-    else:
-        def f(x):
-            q = sol.cost.inverse(expected_benefit(x, sol.rewards) - sol.shift)
-            return _by_parts(q, x, n)[pick]
+        return integrate(f, 0.0, sol.qbar)
 
-        hi = sol.p
-    if hi <= 0.0:
-        return zeros, zeros
-    return integrate(f, 0.0, hi)
+    def q(x):
+        return sol.cost.inverse(expected_benefit(x, sol.rewards) - sol.shift)
+
+    return _pressure_integral(sol, q, which)
 
 
 def rank_probability(sol: EquilibriumSolution, k: int) -> float:

@@ -501,6 +501,26 @@ class TestCommandOutputs:
         jsonschema.validate(record, schema)
         assert record["output"]["d_eqmax"] <= 1e-8
 
+    # quad costs with a small linear term put a 1/c' spike at x = p into
+    # the derivative integrand, which stalled panel doubling in x
+    QUAD = ["--cost", "quad:c0=0.1,a=0.01,b=2"]
+
+    def test_perturb_small_linear_quad_term(self, capsys, schema):
+        code, record = run_cli(
+            capsys, "perturb", "--n", "3", "--wta", "1", "--rank", "2", *self.QUAD
+        )
+        assert code == 0
+        jsonschema.validate(record, schema)
+        assert record["output"]["mode"] == "forward"
+
+    def test_avg_sign_sweep_small_linear_quad_term(self, capsys, schema):
+        code, record = run_cli(
+            capsys, "avg-sign-sweep", "--n", "3", "--budgets", "0.1,0.3,1,3", *self.QUAD
+        )
+        assert code == 0
+        jsonschema.validate(record, schema)
+        assert [row["ok"] for row in record["output"]["rows"]] == [True] * 4
+
     def test_tax_sweep_constant_budget(self, capsys, schema, tmp_path):
         path = tmp_path / "taxes.csv"
         code, record = run_cli(

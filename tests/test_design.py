@@ -435,21 +435,28 @@ class TestBudgetMatchedDerivative:
             checked += 1
         assert checked >= 150
 
-    @pytest.mark.parametrize("family", ["linear", "exp"])
+    @pytest.mark.parametrize("family", ["linear", "exp", "quad"])
     def test_one_sided_agrees_with_finite_differences(self, family):
-        # the benchmark's winner-take-all draws; the one-sided oracle's
-        # truncation is O(step)
+        # the benchmark's winner-take-all draws, and quad costs with a
+        # small linear term, whose 1/c' spike at x = p the pressure-space
+        # map smooths; the one-sided oracle's truncation is O(step), and
+        # on quad it reads 2.5e-3 relative at n = 10, rank 2 at the
+        # default step 1e-4 * a_1, so that family steps 1e-6 * a_1
         rng = np.random.default_rng(89)
         for _ in range(20):
             n = int(rng.integers(3, 11))
             if family == "linear":
                 cost = LinearCost(c0=float(rng.uniform(0.05, 0.5)), slope=1.0)
-            else:
+            elif family == "exp":
                 cost = ExponentialCost(k=float(rng.uniform(0.6, 1.4)))
+            else:
+                c0 = float(rng.uniform(0.05, 0.5))
+                cost = QuadraticPlusCost(c0=c0, a=0.01, b=float(rng.uniform(0.5, 2.0)))
             base = winner_take_all(n, cost.entry_cost * float(rng.uniform(1.5, 4.0)))
+            step = 1e-6 * base.top if family == "quad" else None
             for rank in (2, n):
                 result = budget_matched_derivative(base, cost, rank)
-                oracle = fd_budget_matched_derivative(base, cost, rank)
+                oracle = fd_budget_matched_derivative(base, cost, rank, step)
                 assert result.mode == oracle.mode != "central"
                 for name in ("da1_das", "d_eqmax", "d_eqavg"):
                     got, want = getattr(result, name), getattr(oracle, name)

@@ -9,9 +9,10 @@ from scipy import integrate as sp_integrate
 from scipy import stats
 
 import rankcontest
-from rankcontest import binom, design, metrics, quadrature
+from rankcontest import binom, metrics, quadrature
 from rankcontest import (
     DomainError,
+    ExponentialCost,
     LinearCost,
     QuadraticPlusCost,
     QuadratureError,
@@ -463,7 +464,8 @@ def _curved_closed_forms(n, A, c0, s):
 
 class TestCurvedClosedForms:
     """Exact references at every n, for prizes falling as the square of
-    the rank's share and a linear cost."""
+    the rank's share and a linear cost, and the two quality routes
+    against each other on every cost family."""
 
     @pytest.mark.parametrize("n", [2, 3, 10, 50, 200, MAX_AGENTS])
     def test_matches_exact_references(self, n):
@@ -483,6 +485,24 @@ class TestCurvedClosedForms:
             )
             want = _curved_closed_forms(n, A, c0, slope)
             assert np.all(np.abs(np.subtract(got, want)) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("n", [3, 10, 50, 200, MAX_AGENTS])
+    def test_pressure_route_matches_grid_route(self, n):
+        # the grid route is within 1.6e-13 of the exact references on
+        # these contests for every family; on quad costs with a small
+        # linear term q has a square-root layer at x = p, which cost the
+        # pressure-space route 2.6e-10 before it ran in t, x = p (1 - t**2)
+        families = [
+            (1.0, LinearCost(c0=0.25, slope=1.0)),
+            (2.0, ExponentialCost(k=1.0)),
+            (1.0, QuadraticPlusCost(c0=0.1, a=0.01, b=2.0)),
+        ]
+        for A, cost in families:
+            prizes = tuple(A * (1.0 - i / (n - 1)) ** 2 for i in range(n))
+            sol = solve(RewardVector(prizes), cost)
+            for statistic in (expected_max_quality, expected_avg_quality):
+                grid = statistic(sol)
+                assert abs(statistic(sol, method="substitution") - grid) <= 1e-12 * grid
 
 
 class TestSharedEvaluation:
@@ -684,7 +704,7 @@ class TestLevelwiseOracle:
             rewards, cost = random_instance(rng)
             rank = int(rng.integers(2, rewards.n + 1))
             got, want = self.routes(
-                monkeypatch, design, lambda: budget_matched_derivative(rewards, cost, rank)
+                monkeypatch, metrics, lambda: budget_matched_derivative(rewards, cost, rank)
             )
             assert got == want
 
